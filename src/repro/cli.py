@@ -474,6 +474,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
     import json as json_mod
 
     from repro.bench.export import write_validation_json
+    from repro.errors import ConfigError
     from repro.sim.validation import (
         DEFAULT_SPEEDUP_BATCH,
         MIN_RANK_AGREEMENT,
@@ -502,17 +503,25 @@ def cmd_validate(args: argparse.Namespace) -> None:
                 )
                 raise SystemExit(2)
 
-    report = validate_zoo(
-        names=names,
-        rows=args.rows,
-        seed=args.seed,
-        min_rank_agreement=(
-            args.min_rank if args.min_rank is not None
-            else MIN_RANK_AGREEMENT
-        ),
-        speedup=not args.no_speedup,
-        speedup_batch=args.batch or DEFAULT_SPEEDUP_BATCH,
-    )
+    try:
+        report = validate_zoo(
+            names=names,
+            rows=args.rows,
+            seed=args.seed,
+            min_rank_agreement=(
+                args.min_rank if args.min_rank is not None
+                else MIN_RANK_AGREEMENT
+            ),
+            speedup=not args.no_speedup,
+            speedup_batch=(
+                DEFAULT_SPEEDUP_BATCH if args.batch is None else args.batch
+            ),
+        )
+    except ConfigError as exc:
+        # Every knob here came off the command line: usage error.
+        message = exc.args[0] if exc.args else str(exc)
+        print(f"repro: {message}", file=sys.stderr)
+        raise SystemExit(2)
 
     if args.json:
         print(json_mod.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -38,11 +38,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.passes.manager import Pass, PassContext, PassStats
 from repro.compiler.ir import MappingIR
+from repro.compiler.trackers import RangeIndex
 from repro.isa.instructions import Instruction, InstrGroup, Opcode
 from repro.isa.program import Program, SuperOp
 from repro.sim.machine import (
+    has_reg_operands,
     instruction_accesses,
-    is_reg_operand,
     unpack_shape,
 )
 
@@ -61,10 +62,6 @@ _MIN_RUN = 2
 _DATA_GROUPS = frozenset((
     InstrGroup.COARSE, InstrGroup.OFFLOAD, InstrGroup.TRANSFER,
 ))
-
-
-def _has_reg(instr: Instruction) -> bool:
-    return any(is_reg_operand(v) for v in instr.operands)
 
 
 class _Span:
@@ -92,9 +89,6 @@ class _Arm:
         self.internal = True  # until a non-fused accessor shows up
         self.last_span: Optional[Tuple[int, int]] = None  # (prog, span_idx)
 
-    def overlaps(self, addr: int, count: int) -> bool:
-        return addr < self.addr + self.size and self.addr < addr + count
-
 
 # ---------------------------------------------------------------------------
 # Pattern matching
@@ -103,7 +97,10 @@ def _parse_load_run(instrs: Sequence[Instruction], start: int) -> Optional[_Span
     n = len(instrs)
     j = start
     dmas: List[Tuple[int, int, int, int, int, int]] = []
-    while j < n and instrs[j].opcode is Opcode.DMALOAD and not _has_reg(instrs[j]):
+    while (
+        j < n and instrs[j].opcode is Opcode.DMALOAD
+        and not has_reg_operands(instrs[j])
+    ):
         o = instrs[j].named_operands()
         dmas.append((
             o["src_port"], o["src_addr"], o["dst_port"], o["dst_addr"],
@@ -138,7 +135,7 @@ def _parse_conv_block(
     bias_addrs: List[int] = []
     i = start
     while i < n and instrs[i].opcode is Opcode.NDCONV:
-        if _has_reg(instrs[i]):
+        if has_reg_operands(instrs[i]):
             return None
         o = instrs[i].named_operands()
         expected_out = pre_base + len(features) * out_size
@@ -153,7 +150,7 @@ def _parse_conv_block(
         sources = [(o["in_addr"], o["kernel_addr"])]
         i += 1
         while i < n and instrs[i].opcode is Opcode.NDCONV:
-            if _has_reg(instrs[i]):
+            if has_reg_operands(instrs[i]):
                 return None
             o = instrs[i].named_operands()
             if not o["is_accum"]:
@@ -169,7 +166,7 @@ def _parse_conv_block(
             i += 1
         if i >= n or instrs[i].opcode is not Opcode.NDACCUM:
             return None
-        if _has_reg(instrs[i]):
+        if has_reg_operands(instrs[i]):
             return None
         o = instrs[i].named_operands()
         if (
@@ -184,7 +181,7 @@ def _parse_conv_block(
             break
     if not features or i >= n or instrs[i].opcode is not Opcode.NDACTFN:
         return None
-    if _has_reg(instrs[i]):
+    if has_reg_operands(instrs[i]):
         return None
     o = instrs[i].named_operands()
     n_features = len(features)
@@ -233,7 +230,7 @@ def _parse_fc_block(
     mm, acc, act = instrs[start], instrs[start + 1], instrs[start + 2]
     if acc.opcode is not Opcode.NDACCUM or act.opcode is not Opcode.NDACTFN:
         return None
-    if _has_reg(mm) or _has_reg(acc) or _has_reg(act):
+    if any(has_reg_operands(instr) for instr in (mm, acc, act)):
         return None
     om = mm.named_operands()
     rows, cols = unpack_shape(om["in2_size"])
@@ -266,8 +263,9 @@ def _parse_pool_run(
     n = len(instrs)
     j = start
     planes = []
-    while j < n and instrs[j].opcode is Opcode.NDSUBSAMP and not _has_reg(
-        instrs[j]
+    while (
+        j < n and instrs[j].opcode is Opcode.NDSUBSAMP
+        and not has_reg_operands(instrs[j])
     ):
         o = instrs[j].named_operands()
         h, w = unpack_shape(o["in_size"])
@@ -317,7 +315,7 @@ def _match_spans(instrs: Sequence[Instruction]) -> List[_Span]:
         instr = instrs[i]
         op = instr.opcode
         span: Optional[_Span] = None
-        if op in _FUSABLE and not _has_reg(instr):
+        if op in _FUSABLE and not has_reg_operands(instr):
             if op is Opcode.DMALOAD:
                 span = _parse_load_run(instrs, i)
             elif op is Opcode.NDCONV:
@@ -337,23 +335,21 @@ def _match_spans(instrs: Sequence[Instruction]) -> List[_Span]:
 # ---------------------------------------------------------------------------
 # Externality analysis
 # ---------------------------------------------------------------------------
-def _collect_arms(programs: Sequence[Program]) -> Optional[Dict[int, List[_Arm]]]:
-    """All armed tracker ranges per port; None if any is unanalyzable."""
-    arms: Dict[int, List[_Arm]] = {}
+def _collect_arms(programs: Sequence[Program]) -> Optional[List[_Arm]]:
+    """All armed tracker ranges; None if any is unanalyzable."""
+    arms: List[_Arm] = []
     for pi, prog in enumerate(programs):
         for instr in prog.instructions:
             if instr.group is not InstrGroup.TRACK:
                 continue
-            if _has_reg(instr):
+            if has_reg_operands(instr):
                 return None  # register-indirect arm: cannot analyze
             o = instr.named_operands()
             port = (
                 o["target"] if instr.opcode is Opcode.DMA_MEMTRACK
                 else o["port"]
             )
-            arms.setdefault(port, []).append(
-                _Arm(port, o["addr"], o["size"], pi)
-            )
+            arms.append(_Arm(port, o["addr"], o["size"], pi))
     return arms
 
 
@@ -366,6 +362,7 @@ def _annotate_superops(programs: Sequence[Program]) -> int:
     arms = _collect_arms(programs)
     if arms is None:
         return 0
+    hits = RangeIndex(arms).hits
     spans_by_prog = [_match_spans(prog.instructions) for prog in programs]
     covered_by_prog = []
     for spans in spans_by_prog:
@@ -384,15 +381,13 @@ def _annotate_superops(programs: Sequence[Program]) -> int:
         for pc, instr in enumerate(prog.instructions):
             if instr.group not in _DATA_GROUPS:
                 continue
-            if _has_reg(instr):
+            if has_reg_operands(instr):
                 return 0  # register-indirect data op: cannot analyze
             reads, writes = instruction_accesses(instr)
             prog_quads.append((pc, reads, writes))
             span_idx = covered.get(pc)
             for port, addr, count in reads + writes:
-                for arm in arms.get(port, ()):
-                    if not arm.overlaps(addr, count):
-                        continue
+                for arm in hits(port, addr, count):
                     if span_idx is None or arm.prog != pi:
                         arm.internal = False
                     elif arm.last_span is None or arm.last_span < (
@@ -417,25 +412,21 @@ def _annotate_superops(programs: Sequence[Program]) -> int:
                 continue
             for quads, out in ((reads, ext_reads), (writes, ext_writes)):
                 for port, addr, count in quads:
-                    hit = [
-                        arm for arm in arms.get(port, ())
-                        if arm.overlaps(addr, count)
-                    ]
+                    hit = hits(port, addr, count)
                     if hit and all(a.internal for a in hit):
                         continue  # internal: expired at span end
                     if hit:
                         out[si].append((port, addr, count))
                     # no tracker ever arms this range: drop the quad
         expires: List[List[Tuple[int, int, int]]] = [[] for _ in spans]
-        for port_arms in arms.values():
-            for arm in port_arms:
-                if (
-                    arm.internal and arm.last_span is not None
-                    and arm.last_span[0] == pi
-                ):
-                    expires[arm.last_span[1]].append(
-                        (arm.port, arm.addr, arm.size)
-                    )
+        for arm in arms:
+            if (
+                arm.internal and arm.last_span is not None
+                and arm.last_span[0] == pi
+            ):
+                expires[arm.last_span[1]].append(
+                    (arm.port, arm.addr, arm.size)
+                )
         superops = []
         for si, span in enumerate(spans):
             superops.append(SuperOp(

@@ -12,17 +12,83 @@ DMA_MEMTRACK with the exact update/read counts.
 Compilers can therefore emit trackers with placeholder counts and let
 the calibration pass finish the job; a miscounted tracker becomes
 impossible by construction.
+
+Armed ranges are looked up through a :class:`RangeIndex`: per port,
+the ranges sorted by start address next to the running maximum of
+their end addresses.  One ``bisect`` over those ends finds the first
+range that can overlap an access, and one over the starts finds the
+first range past it.  With ``A`` accesses and ``T`` armed ranges,
+calibration costs O((A + T) log T) instead of O(A·T), and the overlap
+check is one sort-and-sweep per port instead of O(T²) pairs.  The fusion
+pass's tracker-externality analysis shares the same index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ProgramError
-from repro.isa.instructions import Instruction, Opcode, make
+from repro.isa.instructions import Opcode, make
 from repro.isa.program import Program
-from repro.sim.machine import Access, instruction_accesses
+from repro.sim.machine import instruction_accesses
+
+
+class RangeIndex:
+    """Armed ranges grouped by port, queryable by overlap.
+
+    Items are any objects with ``port``, ``addr`` and ``size``.  A range
+    overlaps the access ``(port, addr, count)`` when both sit on the same
+    port and ``addr < range_end`` and ``range_addr < addr + count``, so a
+    zero-size range is hit only by an access that strictly contains its
+    address.
+    """
+
+    def __init__(self, items: Iterable) -> None:
+        by_port: Dict[int, list] = {}
+        for item in items:
+            by_port.setdefault(item.port, []).append(item)
+        # port -> (starts, reach, ends, items), sorted by (start, end);
+        # reach[i] is the largest end among the first i + 1 ranges, and
+        # ends is None when it equals reach (ends never decrease, as for
+        # any set of non-overlapping ranges).
+        self._ports: Dict[int, Tuple[list, list, Optional[list], list]] = {}
+        for port, group in by_port.items():
+            group.sort(key=lambda r: (r.addr, r.addr + r.size))
+            starts = [r.addr for r in group]
+            ends = [r.addr + r.size for r in group]
+            reach = list(accumulate(ends, max))
+            self._ports[port] = (
+                starts, reach, None if reach == ends else ends, group,
+            )
+
+    def hits(self, port: int, addr: int, count: int) -> list:
+        """Every indexed range overlapping ``count`` words at ``addr``."""
+        entry = self._ports.get(port)
+        if entry is None:
+            return []
+        starts, reach, ends, items = entry
+        # Ranges before lo all end at or before addr; ranges from hi on
+        # start at or after addr + count.
+        lo = bisect_right(reach, addr)
+        hi = bisect_left(starts, addr + count, lo)
+        if ends is None:
+            return items[lo:hi]
+        return [items[i] for i in range(lo, hi) if ends[i] > addr]
+
+    def has_overlap(self) -> bool:
+        """Whether any two ranges on one port overlap.  For an
+        overlapping pair, the later in sorted order starts before the
+        earlier one ends, so comparing each start with the reach of the
+        ranges before it finds every overlap."""
+        return any(
+            reach[i - 1] > starts[i]
+            for starts, reach, _, _ in self._ports.values()
+            for i in range(1, len(starts))
+        )
+
 
 @dataclass
 class _ArmedRange:
@@ -79,28 +145,30 @@ def calibrate_trackers(
                     addr=o["addr"], size=o["size"],
                 ))
 
-    for i, a in enumerate(armed):
-        for b in armed[i + 1:]:
-            if a.overlaps(b.port, b.addr, b.size):
-                raise ProgramError(
-                    f"overlapping trackers: {a.program.tile}@{a.pc} and "
-                    f"{b.program.tile}@{b.pc} "
-                    f"(port {a.port}, [{a.addr}, {a.addr + a.size}) vs "
-                    f"[{b.addr}, {b.addr + b.size}))"
-                )
+    index = RangeIndex(armed)
+    if index.has_overlap():
+        # Name the first overlapping pair in program order.
+        for i, a in enumerate(armed):
+            for b in armed[i + 1:]:
+                if a.overlaps(b.port, b.addr, b.size):
+                    raise ProgramError(
+                        f"overlapping trackers: {a.program.tile}@{a.pc} "
+                        f"and {b.program.tile}@{b.pc} "
+                        f"(port {a.port}, [{a.addr}, {a.addr + a.size}) "
+                        f"vs [{b.addr}, {b.addr + b.size}))"
+                    )
 
     # Count every planned access against the armed ranges.
+    hits = index.hits
     for program in programs:
         for instr in program:
             reads, writes = instruction_accesses(instr)
             for port, addr, count in reads:
-                for tracked in armed:
-                    if tracked.overlaps(port, addr, count):
-                        tracked.reads += 1
+                for tracked in hits(port, addr, count):
+                    tracked.reads += 1
             for port, addr, count in writes:
-                for tracked in armed:
-                    if tracked.overlaps(port, addr, count):
-                        tracked.updates += 1
+                for tracked in hits(port, addr, count):
+                    tracked.updates += 1
 
     for tracked in armed:
         key = (tracked.port, tracked.addr)
@@ -131,9 +199,11 @@ def audit_trackers(
     Returns a summary; used in tests to cross-check hand-emitted
     tracker counts against the static analysis.
     """
-    import copy
-
-    clones = [copy.deepcopy(p) for p in programs]
+    # Instructions are frozen and calibration only replaces list slots,
+    # so a fresh instruction list per program isolates the rewrite.
+    clones = [
+        Program(p.tile, list(p.instructions), p.superops) for p in programs
+    ]
     declared = [
         (instr.operand("num_updates"), instr.operand("num_reads"))
         for p in programs

@@ -20,14 +20,15 @@ uninitialised scratchpad.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IRVerificationError, ProgramError
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.sim.engine import EXTERNAL_PORT
-from repro.sim.machine import is_reg_operand, instruction_accesses
+from repro.sim.machine import has_reg_operands, instruction_accesses
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def _ranges(
     reads, writes = [], []
     for program in programs:
         for pc, instr in enumerate(program):
-            if any(is_reg_operand(v) for v in instr.operands):
+            if has_reg_operands(instr):
                 continue  # register-indirect: checked at execution
             r, w = instruction_accesses(instr)
             for port, addr, count in r:
@@ -70,6 +71,51 @@ def _ranges(
             for port, addr, count in w:
                 writes.append((program.tile, pc, port, addr, count))
     return reads, writes
+
+
+def _merge_regions(
+    regions: Iterable[Tuple[int, int, int]],
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """Per port, the union of (port, addr, words) regions as sorted
+    starts and ends of disjoint, non-adjacent word intervals."""
+    by_port: Dict[int, List[Tuple[int, int]]] = {}
+    for port, addr, count in regions:
+        if count > 0:
+            by_port.setdefault(port, []).append((addr, addr + count))
+    merged: Dict[int, Tuple[List[int], List[int]]] = {}
+    for port, spans in by_port.items():
+        spans.sort()
+        starts, ends = [spans[0][0]], [spans[0][1]]
+        for lo, hi in spans[1:]:
+            if lo <= ends[-1]:
+                ends[-1] = max(ends[-1], hi)
+            else:
+                starts.append(lo)
+                ends.append(hi)
+        merged[port] = (starts, ends)
+    return merged
+
+
+def _missing_words(
+    starts: List[int], ends: List[int], addr: int, count: int
+) -> Tuple[int, int]:
+    """(number, first) of the words in ``[addr, addr + count)``, with
+    ``count > 0``, that no merged interval covers; (0, -1) when all are
+    covered."""
+    stop = addr + count
+    i = bisect_right(ends, addr)  # first interval ending past addr
+    covered = 0
+    j = i
+    while j < len(starts) and starts[j] < stop:
+        covered += min(ends[j], stop) - max(starts[j], addr)
+        j += 1
+    missing = count - covered
+    if missing == 0:
+        return 0, -1
+    # Intervals are non-adjacent, so the one covering addr (if any) is
+    # followed by an uncovered word.
+    first = ends[i] if i < len(starts) and starts[i] <= addr else addr
+    return missing, first
 
 
 def verify_programs(
@@ -101,26 +147,23 @@ def verify_programs(
                 f"{shape.words_per_tile}-word scratchpad of tile {port}",
             ))
 
-    # 2. No reads of never-written scratchpad.  Coverage is tracked at
-    # word granularity per tile (these programs are small).
-    written: Dict[int, Set[int]] = {}
-    for port, addr, count in list(preloaded) + list(host_writes):
-        written.setdefault(port, set()).update(range(addr, addr + count))
-    for _, _, port, addr, count in writes:
-        if port != EXTERNAL_PORT:
-            written.setdefault(port, set()).update(
-                range(addr, addr + count)
-            )
+    # 2. No reads of never-written scratchpad.  Coverage is the merged
+    # word intervals written per tile.
+    written = _merge_regions([
+        *preloaded, *host_writes,
+        *((port, addr, count) for _, _, port, addr, count in writes
+          if port != EXTERNAL_PORT),
+    ])
     for tile, pc, port, addr, count in reads:
-        if port == EXTERNAL_PORT:
+        if port == EXTERNAL_PORT or count <= 0:
             continue
-        covered = written.get(port, set())
-        missing = [w for w in range(addr, addr + count) if w not in covered]
+        starts, ends = written.get(port, ([], []))
+        missing, first = _missing_words(starts, ends, addr, count)
         if missing:
             issues.append(Issue(
                 tile, pc,
-                f"reads {len(missing)} never-written word(s) of tile "
-                f"{port} starting at {missing[0]}",
+                f"reads {missing} never-written word(s) of tile "
+                f"{port} starting at {first}",
             ))
 
     # 3. Tracker-file capacity per tile.

@@ -43,6 +43,7 @@ from repro.sim.machine import (
     Machine,
     MemTile,
     REG_OPERAND_MASK,
+    has_reg_operands,
     instruction_accesses,
     is_reg_operand,
     operand_accesses,
@@ -994,7 +995,7 @@ class Engine:
             # words, so it is safe under batched execution too.
             self._note_fallback(instr, "scalar-control")
             return _Decoded(instr, fallback=True, batch_safe=True)
-        if any(is_reg_operand(v) for v in instr.operands):
+        if has_reg_operands(instr):
             # Fig 13-style R-operands resolve at issue time only.
             self._note_fallback(instr, "register-indirect")
             return _Decoded(

@@ -43,6 +43,15 @@ def is_reg_operand(value: int) -> bool:
     return bool(value & REG_OPERAND_FLAG)
 
 
+def has_reg_operands(instr: Instruction) -> bool:
+    """Whether any operand of ``instr`` is a register reference (the
+    bit test of :func:`is_reg_operand`, so negative immediates count)."""
+    for value in instr.operands:
+        if value & REG_OPERAND_FLAG:
+            return True
+    return False
+
+
 def pack_shape(height: int, width: int) -> int:
     """Encode a (height, width) extent into one immediate."""
     if not (0 < height <= SHAPE_MASK and 0 < width <= SHAPE_MASK):
@@ -263,7 +272,7 @@ def instruction_accesses(
     """
     op = instr.opcode
     o = instr.named_operands()
-    if any(is_reg_operand(v) for v in instr.operands):
+    if has_reg_operands(instr):
         raise SimulationError(
             f"{op.value} uses register-indirect operands; accesses are "
             "only known at execution time"

@@ -42,7 +42,7 @@ from repro.dnn.builder import NetworkBuilder
 from repro.dnn.layers import Activation, LayerKind, PoolMode
 from repro.dnn.network import Network
 from repro.dnn.zoo.engine_proxies import PROXY_PARAMS, engine_proxy
-from repro.errors import ReproError, ValidationError
+from repro.errors import ConfigError, ReproError, ValidationError
 from repro.functional.reference import ReferenceModel
 
 #: Above this weight count a network is not engine-executed directly;
@@ -336,6 +336,7 @@ def measure_speedup(
     """Time the legacy interpreter against the pre-decoded fast path,
     the superop-fused fast path, and batched execution on ``net`` (best
     of ``repeats`` for each path, to damp scheduler noise)."""
+    _check_batch(batch)
     model = ReferenceModel(net, seed=seed)
     compiled = compile_dag_forward(net, model, rows=rows)
     image = _random_image(net, seed)
@@ -496,6 +497,13 @@ def _skip(name: str, reason: str) -> ValidationRow:
     return ValidationRow(name, 0, 0.0, 0, status="skipped", reason=summary)
 
 
+def _check_batch(batch: int) -> None:
+    if batch < 1:
+        raise ConfigError(
+            f"speedup batch must be a positive image count, got {batch}"
+        )
+
+
 def validate_zoo(
     names: Optional[Sequence[str]] = None,
     rows: int = 2,
@@ -514,8 +522,10 @@ def validate_zoo(
     only networks that are genuinely outside the engine's scope (and
     have no proxy) become ``skipped`` rows.  Requested ``names`` are
     deduplicated by canonical zoo name, so ``vgg16`` beside ``VGG-D``
-    yields one row, not two.
+    yields one row, not two.  Raises :class:`ConfigError` for a
+    ``speedup_batch`` below 1.
     """
+    _check_batch(speedup_batch)
     candidates: List[tuple] = []
     seen: set = set()
     if names:

@@ -104,6 +104,31 @@ class TestExitCodes:
         assert code == 1
         assert "fail-fast" in err
 
+    def test_validate_zero_batch_exits_2(self):
+        # 0 is a bad knob, not "use the default".
+        code, out, err = run_cli(["validate", "tiny", "--batch", "0"])
+        assert code == 2
+        assert err.startswith("repro: speedup batch must be a positive")
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_validate_negative_batch_exits_2(self):
+        code, out, err = run_cli(["validate", "tiny", "--batch", "-3"])
+        assert code == 2
+        assert "got -3" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_validate_zoo_rejects_bad_batch(self):
+        from repro.dnn.zoo import tiny_cnn
+        from repro.errors import ConfigError
+        from repro.sim.validation import measure_speedup, validate_zoo
+
+        with pytest.raises(ConfigError, match="got 0"):
+            validate_zoo(["tiny"], speedup_batch=0)
+        with pytest.raises(ConfigError, match="got -1"):
+            measure_speedup(tiny_cnn(), batch=-1)
+
 
 class TestFaultsVerb:
     def test_rerun_byte_identical(self):
