@@ -121,15 +121,19 @@ class CompiledForward:
         return out, report
 
     def run_batch(
-        self, images: np.ndarray
+        self, images: np.ndarray, fused: bool = True
     ) -> Tuple[np.ndarray, RunReport]:
         """Execute the forward pass on a minibatch at once: ``images``
         is ``(batch, channels, height, width)`` (any per-image layout
         matching :meth:`run`'s input works — only the leading batch axis
-        is special).  Decoded op tables are shared and every tensor op
-        vectorises across the batch on mirrored scratchpads; cycles and
-        instruction counts model ONE image's program, identical to
-        :meth:`run`.  Returns ``(batch, features)`` outputs plus the
+        is special).  Decoded op tables are shared and every superop
+        (``fused=False``: every decoded instruction) vectorises across
+        the batch on mirrored scratchpads.  Each output row is bitwise
+        identical to :meth:`run` on that image with the same ``fused``
+        flag (the unfused batched kernels agree with it only to
+        float32 reduction-order noise), and the report — cycles and
+        instruction counts model ONE image's program — equals that
+        :meth:`run`'s.  Returns ``(batch, features)`` outputs plus the
         report."""
         images = np.asarray(images, dtype=np.float32)
         if images.ndim < 2:
@@ -138,7 +142,7 @@ class CompiledForward:
                 f"{images.shape}"
             )
         machine = self.build_machine()
-        engine = Engine(machine)
+        engine = Engine(machine, fused=fused)
         state = engine.make_batch(images.shape[0])
         in_node = self.network.input
         for home in self.partition.blocks_of(in_node.name):
@@ -158,6 +162,7 @@ class CompiledForward:
             ).copy()
             for home in self.output_blocks
         ], axis=1)
+        engine.end_batch()
         return out, report
 
     @property
@@ -224,8 +229,11 @@ class ForwardRunner:
         self.images_run = 0
 
     def __call__(self, image: np.ndarray) -> Tuple[np.ndarray, RunReport]:
+        """Run one image; its report equals ``compiled.run(image)``'s
+        (counters restart per image; weights stay resident)."""
         compiled = self.compiled
         self.machine.reset_programs()
+        self.machine.reset_counters()
         in_node = compiled.network.input
         for home in compiled.partition.blocks_of(in_node.name):
             tile = self.machine.mem_tile(

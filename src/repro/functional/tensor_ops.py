@@ -5,6 +5,10 @@ Fig 5: nD-convolution, matrix multiply, accumulation, sampling,
 activation functions and the element-wise products of the WG step.
 Layout convention: feature volumes are ``(count, height, width)`` arrays
 (single image; the trainer loops or vectorises over the batch axis).
+The engine's superop kernels (:func:`conv_block_forward`,
+:func:`fc_block_forward`) and the ``*_rows`` helpers instead take
+scratchpad words with a leading batch axis, batch 1 being the
+single-image case.
 
 Convolutions are computed via im2col so that forward, input-gradient and
 weight-gradient all reduce to matrix multiplies — the same decomposition
@@ -193,25 +197,69 @@ def conv2d_plane_batched(
 def conv_rowgroup(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """One fused convolution step over a group of output features.
 
-    ``weights`` is (F, k*k) — one single-plane kernel per feature — and
-    ``cols`` is (F, k*k, N), each feature's im2col'd source plane.
-    Returns the (F, N) partial sums.
+    ``weights`` is (..., F, k*k) — one single-plane kernel per feature —
+    and ``cols`` is (..., F, k*k, N), each feature's im2col'd source
+    plane (a size-1 feature axis broadcasts one plane to every
+    feature).  Returns the (..., F, N) partial sums.
 
     This is the superop fast path's replacement for F separate NDCONV
-    dispatches.  Bit-exactness matters: numpy's batched ``matmul`` of
-    (F, 1, k*k) @ (F, k*k, N) produces bitwise-identical results to the
-    per-slice (1, k*k) @ (k*k, N) products that
-    :func:`conv2d_forward` computes (property-checked in the tests —
-    note a plain (F, k*k) @ (k*k, N) GEMM does *not* have this
-    property), and the trailing ``+ 0.0`` reproduces the zero-bias add
-    in :func:`conv2d_forward` so signed zeros match too.
+    dispatches.  Bit-exactness matters: numpy's stacked ``matmul`` of
+    (..., F, 1, k*k) @ (..., F, k*k, N) computes each slice as its own
+    (1, k*k) @ (k*k, N) product, bitwise identical to the per-slice
+    products that :func:`conv2d_forward` computes (property-checked in
+    the tests — note a plain (F, k*k) @ (k*k, N) GEMM does *not* have
+    this property), and the trailing ``+ 0.0`` reproduces the zero-bias
+    add in :func:`conv2d_forward` so signed zeros match too.
     """
-    return np.matmul(weights[:, None, :], cols)[:, 0, :] + np.float32(0.0)
+    return (
+        np.matmul(weights[..., None, :], cols)[..., 0, :] + np.float32(0.0)
+    )
+
+
+def conv_block_plan(steps, kernel: int) -> tuple:
+    """Hoist the static indexing of :func:`conv_block_forward` out of
+    its per-call loop (superop plans are fixed at compile time, so the
+    engine builds this once per superop at decode).
+
+    ``steps`` lists one entry per input-source *step* ``i`` — the
+    ``i``-th source of every output feature that has at least ``i+1``
+    sources — as ``(feature_indices, in_addrs, kernel_addrs)``.  Each
+    planned step is ``(features, planes, pick, kernel_addrs,
+    kernel_stride)``: ``features`` selects the accumulator rows (a
+    slice when contiguous), ``planes`` the distinct source-plane
+    addresses in first-use order, ``pick`` maps each feature to its
+    plane (None when every feature reads the one plane, which then
+    broadcasts), and ``kernel_stride`` is the word stride of
+    ``kernel_addrs`` when they form a progression of non-overlapping
+    kernels (None otherwise), so the weights load as one strided view.
+    """
+    kk = kernel * kernel
+    plan = []
+    for feats, in_addrs, kernel_addrs in steps:
+        planes = tuple(dict.fromkeys(in_addrs))
+        pick = (
+            None if len(planes) == 1
+            else [planes.index(addr) for addr in in_addrs]
+        )
+        first, last = feats[0], feats[-1]
+        rows = (
+            slice(first, last + 1) if last - first + 1 == len(feats)
+            else list(feats)
+        )
+        base = kernel_addrs[0]
+        kstride = kernel_addrs[1] - base if len(kernel_addrs) > 1 else kk
+        if kstride < kk or any(
+            addr != base + j * kstride
+            for j, addr in enumerate(kernel_addrs)
+        ):
+            kstride = None
+        plan.append((rows, planes, pick, kernel_addrs, kstride))
+    return tuple(plan)
 
 
 def conv_block_forward(
     src_words: np.ndarray,
-    steps,
+    plan,
     kernel: int,
     stride: int,
     pad: int,
@@ -222,62 +270,77 @@ def conv_block_forward(
     fn: Activation,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Whole-layer fused convolution: every NDCONV/NDACCUM/NDACTFN of
-    one conv program slice collapsed into a handful of numpy calls.
+    one conv program slice collapsed into a handful of numpy calls,
+    for a whole minibatch at once.
 
-    ``steps`` lists one entry per input-source *step* ``i`` — the
-    ``i``-th source of every output feature that has at least ``i+1``
-    sources — as ``(feature_indices, in_addrs, kernel_addrs)`` over
-    ``src_words`` (the staging scratchpad).  Step 0 must cover all
+    ``src_words`` is the staging scratchpad, one ``(batch, words)`` row
+    per image (a single image is the batch-1 case); ``plan`` comes from
+    :func:`conv_block_plan`, whose step 0 must cover all
     ``n_features`` features in order (the code generator emits each
-    feature's first source with ``is_accum=0``).
+    feature's first source with ``is_accum=0``); ``bias_block`` is
+    ``(batch, n_features * out_size)``.
 
-    Returns ``(pre, out)``: the pre-activation block (the values the
-    per-instruction path leaves in the accumulation scratchpad) and the
-    activated output block, both bitwise identical to per-instruction
-    execution.
+    Returns ``(pre, out)``, both ``(batch, n_features * out_size)``:
+    the pre-activation block (the values the per-instruction path
+    leaves in the accumulation scratchpad) and the activated output
+    block.  Every row is bitwise identical to per-instruction execution
+    of that image.
     """
+    batch, words = src_words.shape
     h, w = in_shape
     in_words = h * w
     kk = kernel * kernel
-    cols_cache: dict = {}
-    acc = np.empty((n_features, out_size), dtype=np.float32)
-    for i, (feats, in_addrs, kernel_addrs) in enumerate(steps):
-        stacked = []
-        for addr in in_addrs:
-            cols = cols_cache.get(addr)
-            if cols is None:
-                plane = src_words[addr : addr + in_words].reshape(1, h, w)
-                cols, _, _ = im2col(plane, kernel, stride, pad)
-                cols_cache[addr] = cols
-            stacked.append(cols)
-        weights = np.stack(
-            [src_words[a : a + kk] for a in kernel_addrs]
-        )
-        contrib = conv_rowgroup(weights, np.stack(stacked))
+    acc = np.empty((batch, n_features, out_size), dtype=np.float32)
+    for i, (rows, planes, pick, kernel_addrs, kstride) in enumerate(plan):
+        if pick is None:
+            x = src_words[:, planes[0] : planes[0] + in_words]
+        else:
+            x = np.stack(
+                [src_words[:, a : a + in_words] for a in planes], axis=1
+            )
+        cols, _, _ = im2col(x.reshape(-1, h, w), kernel, stride, pad)
+        cols = cols.reshape(batch, len(planes), kk, -1)
+        if pick is not None:
+            cols = cols[:, pick]
+        count = len(kernel_addrs)
+        base = kernel_addrs[0]
+        if kstride is not None and base + count * kstride <= words:
+            weights = src_words[:, base : base + count * kstride].reshape(
+                batch, count, kstride
+            )[:, :, :kk]
+        else:
+            weights = np.stack(
+                [src_words[:, a : a + kk] for a in kernel_addrs], axis=1
+            )
+        contrib = conv_rowgroup(weights, cols)
         if i == 0:
             acc[...] = contrib
         else:
-            acc[list(feats)] += contrib
-    acc += bias_block.reshape(n_features, out_size)
-    pre = acc.reshape(-1)
-    return pre, activate(pre.copy(), fn)
+            acc[:, rows] += contrib
+    acc += bias_block.reshape(batch, n_features, out_size)
+    pre = acc.reshape(batch, -1)
+    return pre, activate_rows(pre.copy(), fn)
 
 
 def fc_block_forward(
-    mat: np.ndarray,
-    vec: np.ndarray,
+    mats: np.ndarray,
+    vecs: np.ndarray,
     bias: np.ndarray,
     fn: Activation,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused MATMUL + bias NDACCUM + NDACTFN of one FC program slice.
+    """Fused MATMUL + bias NDACCUM + NDACTFN of one FC program slice,
+    for a minibatch: ``mats`` (B, rows, cols), ``vecs`` (B, cols),
+    ``bias`` (B, rows).
 
-    Returns ``(pre, out)`` — see :func:`conv_block_forward`; the same
-    ``@`` / ``+=`` / :func:`activate` calls the per-instruction path
-    makes, in the same order, so results are bitwise identical.
+    Returns ``(pre, out)``, both (B, rows) — see
+    :func:`conv_block_forward`.  Each image's product is its own
+    matrix-vector call, then the same ``+=`` and activation the
+    per-instruction path applies, in the same order, so every row is
+    bitwise identical to it (softmax stays row-wise).
     """
-    pre = mat @ vec
+    pre = matmul_rows(mats, vecs)
     pre += bias
-    return pre, activate(pre.copy(), fn)
+    return pre, activate_rows(pre.copy(), fn)
 
 
 def matmul_rows(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -158,19 +158,22 @@ class _Super:
     tracker ranges to force-expire on completion (the exact end state of
     the internal handshakes it elides), and the cycle cost pre-summed
     from the members' decoded per-instruction costs — so reports stay
-    reconciled with per-instruction execution.
+    reconciled with per-instruction execution.  ``fn_batch(state)`` is
+    the superop's one kernel; ``fn()`` runs it on the engine's batch-1
+    view of the machine's own scratchpads.
     """
 
     is_super = True
     fallback = False
 
     __slots__ = (
-        "kind", "start", "end", "count", "cost", "fn",
+        "kind", "start", "end", "count", "cost", "fn", "fn_batch",
         "reads", "writes", "expire", "label",
     )
 
     def __init__(
-        self, kind, start, end, count, cost, fn, reads, writes, expire
+        self, kind, start, end, count, cost, fn, fn_batch, reads, writes,
+        expire,
     ) -> None:
         self.kind = kind
         self.start = start
@@ -178,6 +181,7 @@ class _Super:
         self.count = count
         self.cost = cost
         self.fn = fn
+        self.fn_batch = fn_batch
         self.reads = reads
         self.writes = writes
         self.expire = expire
@@ -199,27 +203,29 @@ class BatchState:
     def __init__(self, engine: "Engine", batch: int) -> None:
         if batch < 1:
             raise SimulationError(f"batch size must be >= 1, got {batch}")
-        self.engine = engine
+        # The machine and external memory, not the engine: the engine's
+        # decoded closures already form a reference cycle, and the
+        # mirrors must not ride it (see Engine.end_batch).
+        self.machine = engine.machine
+        self.external = engine.external
         self.batch = batch
         self._mem: Dict[int, np.ndarray] = {}
-        self._external: Optional[np.ndarray] = None
 
     def words(self, port: int) -> np.ndarray:
         """The (batch, words) mirror for ``port``, materialising it on
         first touch."""
-        if port == EXTERNAL_PORT:
-            if self._external is None:
-                self._external = np.repeat(
-                    self.engine.external[None, :], self.batch, axis=0
-                )
-            return self._external
         arr = self._mem.get(port)
         if arr is None:
-            arr = self.engine.machine.mem_tile(port).batched_words(
-                self.batch
-            )
-            self._mem[port] = arr
+            arr = self._mem[port] = self._mirror(self._source(port))
         return arr
+
+    def _source(self, port: int) -> np.ndarray:
+        if port == EXTERNAL_PORT:
+            return self.external
+        return self.machine.mem_tile(port).words
+
+    def _mirror(self, words: np.ndarray) -> np.ndarray:
+        return np.repeat(words[None, :], self.batch, axis=0)
 
     def read(self, port: int, addr: int, count: int) -> np.ndarray:
         words = self.words(port)
@@ -249,6 +255,19 @@ class BatchState:
             words[:, addr : addr + count] = flat
 
 
+class _ImageState(BatchState):
+    """The batch-1 case of :class:`BatchState`: ``(1, words)`` views of
+    the machine's own scratchpads, so writes land in the machine.
+    Superop kernels run on this outside batched execution — each kernel
+    is written once, for a leading batch axis."""
+
+    def __init__(self, engine: "Engine") -> None:
+        super().__init__(engine, 1)
+
+    def _mirror(self, words: np.ndarray) -> np.ndarray:
+        return words[None, :]
+
+
 class Engine:
     """Round-robin interpreter over a :class:`Machine`."""
 
@@ -275,13 +294,16 @@ class Engine:
         self.fast = fast
         #: Superop execution: honour the compiler's fusion plans
         #: (``Program.superops``) by executing whole fused runs per
-        #: dispatch.  Needs the fast path; silently ignored for batched
-        #: runs and dma-bitflip faults (per-transfer semantics).
-        #: Outputs, ``instructions`` and ``busy_cycles`` stay
-        #: bit-identical to per-instruction execution.
+        #: dispatch, single-image and batched alike.  Needs the fast
+        #: path; silently ignored under dma-bitflip faults
+        #: (per-transfer semantics).  Outputs, ``instructions`` and
+        #: ``busy_cycles`` stay bit-identical to per-instruction
+        #: execution.
         self.fused = fused and fast
         self._decoded: Dict[str, List[_Decoded]] = {}
         self._batch: Optional[BatchState] = None
+        #: The batch-1 state superop kernels run on in single-image runs.
+        self._image = _ImageState(self)
         #: Watchdog: seconds of host wall-clock a run() may take before
         #: it is killed with a :class:`SimulationTimeout` (None = no
         #: limit; the ``max_rounds`` cycle budget always applies).
@@ -733,11 +755,13 @@ class Engine:
     # ------------------------------------------------------------------
     def make_batch(self, batch: int) -> BatchState:
         """Prepare batched multi-image execution: the next :meth:`run`
-        executes every decoded data instruction across ``batch`` images
-        at once (numpy ops vectorised over a leading batch axis), on
-        lazily materialised scratchpad mirrors.  Returns the
+        executes every decoded data instruction — and, on a fused
+        engine, every superop — across ``batch`` images at once (numpy
+        ops vectorised over a leading batch axis), on lazily
+        materialised scratchpad mirrors.  Returns the
         :class:`BatchState` — write per-image inputs into it before the
-        run and read per-image outputs after."""
+        run and read per-image outputs after, then call
+        :meth:`end_batch`."""
         if not self.fast:
             raise SimulationError(
                 "batched execution requires the pre-decoded fast path "
@@ -748,12 +772,18 @@ class Engine:
                 "batched execution is incompatible with dma-bitflip "
                 "faults: flips target single transfers, not minibatches"
             )
-        if self.fused:
-            # Fused op tables hold _Super entries that bypass the batch
-            # mirrors — drop them so the next decode is per-instruction.
-            self._decoded.clear()
         self._batch = BatchState(self, batch)
         return self._batch
+
+    def end_batch(self) -> None:
+        """Drop the batch mirrors; later runs are single-image again.
+
+        The decoded closures capture the engine, so an engine is only
+        freed by a full garbage collection — which fused batched runs,
+        allocating few Python objects, rarely trigger.  Dropping the
+        :class:`BatchState` here frees its ``(batch, words)`` mirrors
+        at once instead."""
+        self._batch = None
 
     def _reader(self, port: int):
         """A bound ``(addr, count) -> words`` reader for ``port``."""
@@ -788,7 +818,6 @@ class Engine:
         entries = None
         if (
             self.fused
-            and self._batch is None
             and not self._dma_flip_rate
             and getattr(tile.program, "superops", ())
         ):
@@ -883,99 +912,97 @@ class Engine:
         }.get(sup.kind)
         if builder is None:
             raise SimulationError(f"unknown superop kind {sup.kind!r}")
-        fn = builder(params, tile.tile_id)
+        kernel = builder(params, tile.tile_id)
+        image = self._image
         return _Super(
-            sup.kind, sup.start, sup.end, sup.end - sup.start, cost, fn,
-            reads, writes, expire,
+            sup.kind, sup.start, sup.end, sup.end - sup.start, cost,
+            lambda: kernel(image), kernel, reads, writes, expire,
         )
 
+    # Superop kernels: each takes a BatchState (the engine's batch-1
+    # _ImageState in single-image runs) and moves words through its
+    # read/write, so one kernel serves both modes.
     def _super_load_run(self, params: dict, tile_id: str):
-        moves = tuple(
-            (
-                self._reader(src_port), src_addr,
-                self._writer(dst_port), dst_addr, size, bool(accum),
-            )
-            for src_port, src_addr, dst_port, dst_addr, size, accum
-            in params["dmas"]
-        )
+        moves = params["dmas"]
 
-        def load_run() -> None:
+        def load_run(state: BatchState) -> None:
             tel = self._tel_on
-            for rd, src_addr, wr, dst_addr, size, accum in moves:
-                # No _dma_payload: fused decode refuses dma-flip faults,
-                # and MemTile.write's astype always copies.
-                wr(dst_addr, rd(src_addr, size), accum)
+            for src_port, src_addr, dst_port, dst_addr, size, accum in moves:
+                # No _dma_payload: fused decode and make_batch refuse
+                # dma-flip faults, and BatchState.write always copies.
+                state.write(
+                    dst_port, dst_addr,
+                    state.read(src_port, src_addr, size), accum,
+                )
                 if tel:
                     self._observe_dma(tile_id, size)
 
         return load_run
 
     def _super_conv_block(self, params: dict, tile_id: str):
-        in_tile = self._tile(params["in_port"])
-        src_words = in_tile.words if in_tile is not None else self.external
+        in_port = params["in_port"]
         h, w = params["h"], params["w"]
         k, stride, pad = params["k"], params["stride"], params["pad"]
         out_size = params["out_size"]
         n_features = params["n_features"]
         pre_base, bias_base = params["pre_base"], params["bias_base"]
-        steps = params["steps"]
+        plan = ops.conv_block_plan(params["steps"], k)
         fn_act = _CODE_TO_ACT[params["fn_type"]]
-        rd_bias = self._reader(params["out_port"])
-        wr_pre = self._writer(params["out_port"])
-        wr_home = self._writer(params["home_port"])
-        home_addr = params["home_addr"]
+        out_port = params["out_port"]
+        home_port, home_addr = params["home_port"], params["home_addr"]
 
-        def conv_block() -> None:
-            bias = rd_bias(bias_base, n_features * out_size)
+        def conv_block(state: BatchState) -> None:
+            bias = state.read(out_port, bias_base, n_features * out_size)
             pre, act = ops.conv_block_forward(
-                src_words, steps, k, stride, pad, (h, w),
+                state.words(in_port), plan, k, stride, pad, (h, w),
                 out_size, n_features, bias, fn_act,
             )
-            wr_pre(pre_base, pre, False)
-            wr_home(home_addr, act, False)
+            state.write(out_port, pre_base, pre, False)
+            state.write(home_port, home_addr, act, False)
 
         return conv_block
 
     def _super_fc_block(self, params: dict, tile_id: str):
-        rd_vec = self._reader(params["vec_port"])
-        rd_mat = self._reader(params["mat_port"])
-        rd_bias = self._reader(params["pre_port"])
-        wr_pre = self._writer(params["pre_port"])
-        wr_home = self._writer(params["home_port"])
+        vec_port, mat_port = params["vec_port"], params["mat_port"]
+        pre_port, home_port = params["pre_port"], params["home_port"]
         n, rows = params["n"], params["rows"]
         vec_addr, mat_addr = params["vec_addr"], params["mat_addr"]
         pre_addr, bias_addr = params["pre_addr"], params["bias_addr"]
         home_addr = params["home_addr"]
         fn_act = _CODE_TO_ACT[params["fn_type"]]
 
-        def fc_block() -> None:
-            mat = rd_mat(mat_addr, rows * n).reshape(rows, n)
-            vec = rd_vec(vec_addr, n)
-            bias = rd_bias(bias_addr, rows)
-            pre, act = ops.fc_block_forward(mat, vec, bias, fn_act)
-            wr_pre(pre_addr, pre, False)
-            wr_home(home_addr, act, False)
+        def fc_block(state: BatchState) -> None:
+            mats = state.read(mat_port, mat_addr, rows * n).reshape(
+                -1, rows, n
+            )
+            vecs = state.read(vec_port, vec_addr, n)
+            bias = state.read(pre_port, bias_addr, rows)
+            pre, act = ops.fc_block_forward(mats, vecs, bias, fn_act)
+            state.write(pre_port, pre_addr, pre, False)
+            state.write(home_port, home_addr, act, False)
 
         return fc_block
 
     def _super_pool_run(self, params: dict, tile_id: str):
-        calls = tuple(
+        groups = tuple(
             (
-                self._reader(port), in_addr, count, h, w, window, stride,
-                _CODE_TO_SAMP[samp], self._writer(out_port), out_addr,
+                port, in_addr, count * h * w, h, w, window, stride,
+                _CODE_TO_SAMP[samp], out_port, out_addr,
             )
             for port, in_addr, count, h, w, window, stride, samp,
             out_port, out_addr in params["groups"]
         )
 
-        def pool_run() -> None:
-            for (rd, in_addr, count, h, w, window, stride, mode, wr,
-                 out_addr) in calls:
-                x = rd(in_addr, count * h * w)
+        def pool_run(state: BatchState) -> None:
+            # Batch rides the plane axis: pool_forward pools each
+            # leading-axis plane independently.
+            for (port, in_addr, words, h, w, window, stride, mode,
+                 out_port, out_addr) in groups:
+                x = state.read(port, in_addr, words)
                 out, _ = ops.pool_forward(
-                    x.reshape(count, h, w), window, stride, 0, mode
+                    x.reshape(-1, h, w), window, stride, 0, mode
                 )
-                wr(out_addr, out, False)
+                state.write(out_port, out_addr, out, False)
 
         return pool_run
 
@@ -1545,7 +1572,10 @@ class Engine:
                         if self._gate_quads(
                             tile, entry.reads, entry.writes
                         ):
-                            entry.fn()
+                            if batch is not None:
+                                entry.fn_batch(batch)
+                            else:
+                                entry.fn()
                             for trackers, addr, size in entry.expire:
                                 trackers.expire(addr, size)
                             tile.pc = entry.end
@@ -1745,8 +1775,8 @@ class Engine:
         """Snapshot per-tile cycle counters into the telemetry registry.
 
         Uses ``record`` (not ``add``) so repeated runs on a persistent
-        machine — the streaming ForwardRunner — stay consistent with the
-        tiles' cumulative clocks."""
+        machine — the streaming ForwardRunner, which restarts the
+        counters per image — report the latest run."""
         tel = self.telemetry
         for tile in tiles:
             group = f"tile/{tile.tile_id}"

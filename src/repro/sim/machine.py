@@ -89,13 +89,6 @@ class MemTile:
     def capacity_words(self) -> int:
         return len(self.words)
 
-    def batched_words(self, batch: int) -> np.ndarray:
-        """``batch`` copies of this scratchpad's current contents, one
-        row per image — the lazily-materialised state behind the
-        engine's batched execution (preloaded weights/biases replicate
-        to every image)."""
-        return np.repeat(self.words[None, :], batch, axis=0)
-
     def read(self, addr: int, count: int) -> np.ndarray:
         if addr < 0 or addr + count > len(self.words):
             raise SimulationError(
@@ -201,6 +194,19 @@ class Machine:
             tile.halted = False
             tile.blocked = False
             tile.blocked_retries = 0
+
+    def reset_counters(self) -> None:
+        """Zero the run statistics a :class:`~repro.sim.engine.RunReport`
+        reads — tile clocks, instruction and stall counts, tracker block
+        counts — so the next run reports on its own (the streaming
+        ForwardRunner calls this per image)."""
+        for tile in self.comp_tiles.values():
+            tile.cycles = 0
+            tile.instructions_executed = 0
+            tile.stalled_cycles = 0
+        for mem in self.mem_tiles:
+            mem.trackers.blocked_reads = 0
+            mem.trackers.blocked_writes = 0
 
     def load_program(self, program: Program) -> CompTile:
         program.validate()

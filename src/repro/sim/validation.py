@@ -280,9 +280,9 @@ def _sign(delta: float) -> int:
 @dataclass(frozen=True)
 class SpeedupResult:
     """Wall-clock comparison of the engine's execution paths on one
-    network (per-image seconds; ``batch_seconds`` amortises one
-    ``run_batch`` over its minibatch; ``fused_seconds`` is the fast
-    path with superop fusion engaged)."""
+    network (per-image seconds; ``fused_seconds`` is the fast path
+    with superop fusion engaged; ``batch_seconds`` amortises one fused
+    ``run_batch`` over its minibatch)."""
 
     network: str
     batch: int
@@ -314,6 +314,15 @@ class SpeedupResult:
             if self.fused_seconds > 0 else float("inf")
         )
 
+    @property
+    def batch_over_fused(self) -> float:
+        """Batched (fused) execution over the fused single-image path
+        — what a minibatch buys per image on top of superops."""
+        return (
+            self.fused_seconds / self.batch_seconds
+            if self.batch_seconds > 0 else float("inf")
+        )
+
     def describe(self) -> str:
         return (
             f"{self.network}: legacy {self.legacy_seconds * 1e3:.1f} "
@@ -322,7 +331,8 @@ class SpeedupResult:
             f"{self.fused_seconds * 1e3:.1f} ms "
             f"({self.fused_speedup:.1f}x over fast), batched "
             f"x{self.batch} {self.batch_seconds * 1e3:.1f} ms/image "
-            f"({self.batch_speedup:.1f}x)"
+            f"({self.batch_speedup:.1f}x, "
+            f"{self.batch_over_fused:.1f}x over fused)"
         )
 
 
@@ -334,8 +344,9 @@ def measure_speedup(
     repeats: int = 2,
 ) -> SpeedupResult:
     """Time the legacy interpreter against the pre-decoded fast path,
-    the superop-fused fast path, and batched execution on ``net`` (best
-    of ``repeats`` for each path, to damp scheduler noise)."""
+    the superop-fused fast path, and fused batched execution on
+    ``net`` (best of ``repeats`` for each path, to damp scheduler
+    noise)."""
     _check_batch(batch)
     model = ReferenceModel(net, seed=seed)
     compiled = compile_dag_forward(net, model, rows=rows)
@@ -474,6 +485,7 @@ class ValidationReport:
                     "fast_speedup": self.speedup.fast_speedup,
                     "fused_speedup": self.speedup.fused_speedup,
                     "batch_speedup": self.speedup.batch_speedup,
+                    "batch_over_fused": self.speedup.batch_over_fused,
                 }
             ),
         }

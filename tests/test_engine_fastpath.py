@@ -1,24 +1,28 @@
 """Fast-path equivalence: the pre-decoded engine vs the legacy interpreter.
 
 The fast path decodes each tile's program once into a flat op table and
-the batched path vectorises the decoded ops across a minibatch; both
-must be observationally identical to the legacy per-round interpreter —
-same outputs (bit-for-bit in single-image mode), same RunReport, same
-fault behaviour.  These tests pin that contract per small zoo network.
+the batched path vectorises the decoded ops — by default the superops —
+across a minibatch; both must be observationally identical to the
+legacy per-round interpreter — same outputs (bit-for-bit except the
+unfused batched kernels), same RunReport, same fault behaviour.  These
+tests pin that contract per small zoo network.
 """
 
+import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.arch.presets import conv_chip
 from repro.compiler.codegen_dag import compile_dag_forward, run_dag_batch
+from repro.dnn.layers import Activation
 from repro.dnn.zoo import lenet5, tiny_cnn, tiny_mlp
 from repro.errors import SimulationError
 from repro.functional.reference import ReferenceModel
 from repro.isa import assemble
-from repro.sim.engine import Engine
+from repro.sim.engine import ACT_CODES, Engine
 from repro.sim.machine import Machine
 
 NETS = {
@@ -50,14 +54,20 @@ def case(request):
     fused_out, fused_report = compiled.run(image, fast=True, fused=True)
     images = np.stack([_image(net, seed=i) for i in range(BATCH)])
     batch_out, batch_report = compiled.run_batch(images)
+    unfused_batch_out, unfused_batch_report = compiled.run_batch(
+        images, fused=False
+    )
     per_image = [compiled.run(img, fast=False)[0] for img in images]
+    fused_per_image = [compiled.run(img) for img in images]
     return types.SimpleNamespace(
         name=request.param, net=net, compiled=compiled,
         slow_out=slow_out, slow_report=slow_report,
         fast_out=fast_out, fast_report=fast_report,
         fused_out=fused_out, fused_report=fused_report,
         images=images, batch_out=batch_out, batch_report=batch_report,
-        per_image=per_image,
+        unfused_batch_out=unfused_batch_out,
+        unfused_batch_report=unfused_batch_report,
+        per_image=per_image, fused_per_image=fused_per_image,
     )
 
 
@@ -149,9 +159,35 @@ class TestSuperopFusion:
 
 class TestBatchedExecution:
     def test_batch_report_matches_single_image(self, case):
-        """Cycle accounting models one image's program: the batched
-        report is identical to the single-image fast report."""
-        assert case.batch_report == case.fast_report, case.name
+        """Cycle accounting models one image's program: the unfused
+        batched report is identical to the single-image unfused fast
+        report."""
+        assert case.unfused_batch_report == case.fast_report, case.name
+
+    def test_fused_batch_report_matches_fused_run(self, case):
+        """The default (fused) batched run executes the same superop
+        plan as a fused single-image run, so its report equals it."""
+        assert case.batch_report == case.fused_report, case.name
+        for _, report in case.fused_per_image:
+            assert case.batch_report == report, case.name
+
+    def test_fused_batch_rows_bit_identical(self, case):
+        """Each batched row equals the fused single-image run of that
+        image bit for bit — one superop kernel serves both modes."""
+        assert case.batch_out.shape[0] == BATCH
+        for i, (expected, _) in enumerate(case.fused_per_image):
+            assert np.array_equal(case.batch_out[i], expected), (
+                f"{case.name} image {i}"
+            )
+
+    def test_unfused_batch_outputs_match_legacy_per_image(self, case):
+        """The per-instruction batched kernels agree with the legacy
+        interpreter within float32 reduction-order noise."""
+        for i, expected in enumerate(case.per_image):
+            np.testing.assert_allclose(
+                case.unfused_batch_out[i], expected, rtol=0, atol=1e-5,
+                err_msg=f"{case.name} image {i}",
+            )
 
     def test_batch_outputs_match_legacy_per_image(self, case):
         """Batched outputs agree with running each image through the
@@ -181,6 +217,93 @@ class TestBatchedExecution:
         compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
         with pytest.raises(SimulationError):
             compiled.run_batch(_image(net).reshape(-1))
+
+    def test_batch_state_freed_on_return(self, monkeypatch):
+        """The (batch, words) mirrors die when run_batch returns, not at
+        the next full garbage collection (the engine's decoded closures
+        form a reference cycle that would otherwise hold them)."""
+        net = NETS["TinyCNN-8"]()
+        compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
+        images = np.stack([_image(net, seed=i) for i in range(2)])
+        states = []
+        make_batch = Engine.make_batch
+
+        def spy(self, batch):
+            state = make_batch(self, batch)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(Engine, "make_batch", spy)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            compiled.run_batch(images)
+            assert len(states) == 1
+            assert states[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+#: Superop kinds the fused batched path must exercise at batch > 1.
+SUPEROP_KINDS = {"load_run", "conv_block", "fc_block", "pool_run"}
+
+
+class TestBatchedSuperops:
+    """Every superop kind, and a softmax fc_block, runs batched."""
+
+    @pytest.fixture(scope="class")
+    def dispatched(self):
+        """Per network: the superops of its programs and the superop
+        spans a fused batched run emitted."""
+        from repro.telemetry import capture
+
+        runs = {}
+        for name in ("TinyCNN-8", "LeNet-5"):
+            net = NETS[name]()
+            compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
+            images = np.stack([_image(net, seed=i) for i in range(BATCH)])
+            with capture() as tel:
+                compiled.run_batch(images)
+            spans = [
+                event.name for event in tel.events_in("engine.instr")
+                if event.name.startswith("superop.")
+            ]
+            superops = [s for p in compiled.programs for s in p.superops]
+            runs[name] = (superops, spans)
+        return runs
+
+    def test_every_superop_dispatched_once(self, dispatched):
+        for name, (superops, spans) in dispatched.items():
+            assert len(spans) == len(superops), name
+
+    def test_all_kinds_run_batched(self, dispatched):
+        kinds = {
+            span.split(".")[1].split("[")[0]
+            for _, spans in dispatched.values() for span in spans
+        }
+        assert kinds == SUPEROP_KINDS
+
+    def test_softmax_fc_block_runs_batched(self, dispatched):
+        softmax = ACT_CODES[Activation.SOFTMAX]
+        found = [
+            sup for superops, _ in dispatched.values() for sup in superops
+            if sup.kind == "fc_block"
+            and dict(sup.params)["fn_type"] == softmax
+        ]
+        assert found
+
+
+class TestStreamedReports:
+    def test_each_streamed_report_equals_run(self, case):
+        """A persistent runner restarts its counters per image: every
+        streamed image reports exactly what a fresh run() reports."""
+        runner = case.compiled.runner()
+        for image in case.images:
+            out, report = runner(image)
+            expected_out, expected = case.compiled.run(image)
+            assert report == expected, case.name
+            assert np.array_equal(out, expected_out), case.name
 
 
 def _faults(rate=0.5, seed=7):

@@ -231,3 +231,121 @@ class TestActivations:
         loss, grad = ops.softmax_cross_entropy(p, 1)
         assert loss == pytest.approx(-np.log(p[1]))
         np.testing.assert_allclose(grad, p - np.eye(3)[1])
+
+
+def _conv_block_reference(words, features, k, stride, pad, h, w, bias, fn):
+    """Per-instruction semantics of one conv superop on one image: an
+    NDCONV per (plane, kernel) source (the first overwrites, the rest
+    accumulate), an NDACCUM of each feature's bias, one NDACTFN."""
+    zero = np.zeros(1, dtype=np.float32)
+    blocks = []
+    for sources in features:
+        acc = None
+        for plane_addr, kernel_addr in sources:
+            out = ops.conv2d_forward(
+                words[plane_addr : plane_addr + h * w].reshape(1, h, w),
+                words[kernel_addr : kernel_addr + k * k].reshape(1, 1, k, k),
+                zero, stride, pad,
+            ).reshape(-1)
+            acc = out if acc is None else acc + out
+        blocks.append(acc)
+    pre = np.concatenate(blocks) + bias
+    return pre, ops.activate(pre.copy(), fn)
+
+
+def _steps(features):
+    """The fusion pass's step grouping: step s holds the s-th source of
+    every feature with more than s sources."""
+    steps = []
+    for s in range(max(len(srcs) for srcs in features)):
+        feats = tuple(f for f, srcs in enumerate(features) if len(srcs) > s)
+        steps.append((
+            feats,
+            tuple(features[f][s][0] for f in feats),
+            tuple(features[f][s][1] for f in feats),
+        ))
+    return steps
+
+
+class TestConvBlockForward:
+    """The batched superop kernel against per-instruction semantics:
+    every row bitwise identical, across its plan's special cases."""
+
+    H = W = 6
+    K = 3
+
+    def _run(self, features, words_per_image, fn, stride=1, pad=1, batch=3):
+        h, w, k = self.H, self.W, self.K
+        rng = np.random.default_rng(11)
+        words = rng.normal(0, 1, (batch, words_per_image)).astype(np.float32)
+        out_size = ((h + 2 * pad - k) // stride + 1) ** 2
+        n = len(features)
+        bias = rng.normal(0, 1, (batch, n * out_size)).astype(np.float32)
+        plan = ops.conv_block_plan(_steps(features), k)
+        pre, act = ops.conv_block_forward(
+            words, plan, k, stride, pad, (h, w), out_size, n, bias, fn,
+        )
+        assert pre.shape == act.shape == (batch, n * out_size)
+        for i in range(batch):
+            ref_pre, ref_act = _conv_block_reference(
+                words[i], features, k, stride, pad, h, w, bias[i], fn
+            )
+            assert np.array_equal(pre[i], ref_pre), i
+            assert np.array_equal(act[i], ref_act), i
+        return plan
+
+    def test_dense_block_uses_broadcast_plane_and_kernel_view(self):
+        planes = [0, 36, 72]
+        kern = 200  # feature-major kernels: stride 3 * 9 words
+        features = [
+            [(p, kern + (f * 3 + s) * 9) for s, p in enumerate(planes)]
+            for f in range(4)
+        ]
+        plan = self._run(features, 400, Activation.RELU, stride=2)
+        assert all(pick is None for _, _, pick, _, _ in plan)
+        assert all(kstride == 27 for *_, kstride in plan)
+
+    def test_ragged_sparse_block(self):
+        """Connection-table style: features read different planes at
+        the same step, skip steps (non-contiguous rows) and carry
+        ragged kernel addresses."""
+        features = [
+            [(0, 300), (36, 309), (72, 318)],
+            [(36, 327)],
+            [(72, 336), (0, 345), (36, 354)],
+            [(0, 363), (72, 372)],
+        ]
+        plan = self._run(features, 400, Activation.SOFTMAX)
+        rows, _, pick, _, kstride = plan[1]
+        assert rows == [0, 2, 3] and pick is not None
+        assert kstride is None  # 309, 345, 372: not a progression
+
+    def test_kernel_view_past_end_falls_back(self):
+        """A kernel progression whose strided view would run past the
+        scratchpad end is gathered kernel by kernel instead."""
+        features = [[(0, 100 + f * 20)] for f in range(3)]
+        plan = self._run(features, 149, Activation.TANH, pad=0)
+        (_, _, _, addrs, kstride), = plan
+        assert kstride == 20 and addrs[0] + len(addrs) * kstride > 149
+
+    def test_batch_one_is_the_single_image_case(self):
+        features = [[(0, 100), (36, 109)], [(36, 118), (0, 127)]]
+        self._run(features, 200, Activation.SIGMOID, batch=1)
+
+
+class TestBatchedFC:
+    def test_rows_match_single_image_products(self):
+        rng = np.random.default_rng(3)
+        mats = rng.normal(0, 1, (4, 5, 7)).astype(np.float32)
+        vecs = rng.normal(0, 1, (4, 7)).astype(np.float32)
+        bias = rng.normal(0, 1, (4, 5)).astype(np.float32)
+        pre, act = ops.fc_block_forward(
+            mats, vecs, bias, Activation.SOFTMAX
+        )
+        for i in range(4):
+            expected = mats[i] @ vecs[i]
+            expected += bias[i]
+            assert np.array_equal(pre[i], expected)
+            assert np.array_equal(
+                act[i], ops.activate(expected.copy(), Activation.SOFTMAX)
+            )

@@ -14,6 +14,7 @@ from repro.sim.validation import (
     DEFAULT_BAND,
     OVERHEAD_BAND,
     OVERHEAD_CYCLE_FLOOR,
+    SpeedupResult,
     ValidationReport,
     ValidationRow,
     _skip,
@@ -203,6 +204,27 @@ class TestValidationReport:
         assert by_name["b"]["ratio"] is None
         assert by_name["c"]["band_low"] is None
         assert by_name["c"]["reason"] == "big"
+
+
+class TestSpeedupResult:
+    RESULT = SpeedupResult(
+        network="net", batch=16, legacy_seconds=8.0, fast_seconds=4.0,
+        batch_seconds=0.05, fused_seconds=0.4,
+    )
+
+    def test_batch_over_fused(self):
+        assert self.RESULT.batch_over_fused == pytest.approx(8.0)
+        zero = SpeedupResult("net", 16, 1.0, 1.0, 0.0, 1.0)
+        assert zero.batch_over_fused == float("inf")
+
+    def test_describe_reports_batch_over_fused(self):
+        assert "8.0x over fused" in self.RESULT.describe()
+
+    def test_json_speedup_block_carries_batch_over_fused(self):
+        report = _report([_row("a", 150, 120.0)], speedup=self.RESULT)
+        block = json.loads(json.dumps(report.to_dict()))["speedup"]
+        assert block["batch_over_fused"] == pytest.approx(8.0)
+        assert block["batch_seconds"] == pytest.approx(0.05)
 
 
 class TestValidateZoo:
