@@ -36,7 +36,12 @@ import numpy as np
 from repro.dnn.layers import Activation, PoolMode
 from repro.errors import SimulationError, SimulationTimeout
 from repro.functional import tensor_ops as ops
-from repro.isa.instructions import Instruction, InstrGroup, Opcode
+from repro.isa.instructions import (
+    OPERAND_NAMES,
+    Instruction,
+    InstrGroup,
+    Opcode,
+)
 from repro.isa.program import Program
 from repro.sim.machine import (
     CompTile,
@@ -60,6 +65,10 @@ EXTERNAL_PORT = 0xFFFF
 _DMA_OPCODES = frozenset(
     (Opcode.DMALOAD, Opcode.DMASTORE, Opcode.PREFETCH)
 )
+
+#: Tracker phases a read / a write is blocked in (block-reason values).
+_UPDATING = TrackerPhase.UPDATING.value
+_READABLE = TrackerPhase.READABLE.value
 
 #: Fixed per-instruction issue overheads (cycles).
 _SETUP_COARSE = 8
@@ -113,19 +122,29 @@ class _Decoded:
     """One pre-decoded instruction slot of a tile's flat op table.
 
     The fast path resolves everything static once per program: the gated
-    address quads (with the MemTile objects already bound), the cycle
-    cost, and a closure executing the exact numpy calls of the legacy
-    interpreter.  Instructions the decoder cannot resolve statically —
-    scalar/control, register-indirect operands, or anything whose decode
-    raises — keep ``fallback=True`` and run through :meth:`Engine._execute`
-    so error timing and semantics are unchanged.
+    address quads ``(trackers, port, addr, count)`` of the tracked ports
+    (external memory is never gated, so it has none), the cycle cost,
+    and one flat ``args`` tuple for a module-level kernel pair.
+    ``fn(state, *args)`` runs the exact numpy calls of the legacy
+    interpreter through the port readers/writers in ``args``;
+    ``fn_batch(state, *args)`` runs the same instruction on a
+    :class:`BatchState`.  The entry holds no closure and no reference to
+    the engine.  ``memo`` backs the gate's blocked-verdict replay
+    (:meth:`Engine._gate_quads`).
+
+    Instructions the decoder cannot resolve statically — scalar/control,
+    register-indirect operands, or anything whose decode raises — keep
+    ``fallback=True`` and run through :meth:`Engine._execute` so error
+    timing and semantics are unchanged.
     """
 
     is_super = False
+    count = 1
+    expire = ()
 
     __slots__ = (
-        "instr", "fallback", "batch_safe", "fn", "fn_batch",
-        "reads", "writes", "cost",
+        "instr", "fallback", "batch_safe", "fn", "fn_batch", "args",
+        "reads", "writes", "cost", "memo",
     )
 
     def __init__(
@@ -135,6 +154,7 @@ class _Decoded:
         batch_safe: bool = True,
         fn=None,
         fn_batch=None,
+        args=(),
         reads=(),
         writes=(),
         cost: int = 0,
@@ -144,9 +164,11 @@ class _Decoded:
         self.batch_safe = batch_safe
         self.fn = fn
         self.fn_batch = fn_batch
+        self.args = args
         self.reads = reads
         self.writes = writes
         self.cost = cost
+        self.memo = None
 
 
 class _Super:
@@ -158,34 +180,416 @@ class _Super:
     tracker ranges to force-expire on completion (the exact end state of
     the internal handshakes it elides), and the cycle cost pre-summed
     from the members' decoded per-instruction costs — so reports stay
-    reconciled with per-instruction execution.  ``fn_batch(state)`` is
-    the superop's one kernel; ``fn()`` runs it on the engine's batch-1
-    view of the machine's own scratchpads.
+    reconciled with per-instruction execution.  It has the call shape of
+    :class:`_Decoded`: ``fn`` and ``fn_batch`` are both the superop's one
+    kernel, called as ``fn(state, *args)`` on a :class:`BatchState` —
+    the engine's batch-1 view of the machine's own scratchpads in
+    single-image runs.
     """
 
     is_super = True
     fallback = False
 
     __slots__ = (
-        "kind", "start", "end", "count", "cost", "fn", "fn_batch",
-        "reads", "writes", "expire", "label",
+        "kind", "start", "end", "count", "cost", "fn", "fn_batch", "args",
+        "reads", "writes", "expire", "label", "memo",
     )
 
     def __init__(
-        self, kind, start, end, count, cost, fn, fn_batch, reads, writes,
-        expire,
+        self, kind, start, end, cost, fn, args, reads, writes, expire,
     ) -> None:
         self.kind = kind
         self.start = start
         self.end = end
-        self.count = count
+        self.count = end - start
         self.cost = cost
-        self.fn = fn
-        self.fn_batch = fn_batch
+        self.fn = self.fn_batch = fn
+        self.args = args
         self.reads = reads
         self.writes = writes
         self.expire = expire
         self.label = f"superop.{kind}[{start}:{end}]"
+        self.memo = None
+
+
+def _tracker_files(entry) -> tuple:
+    """The distinct tracker files an entry's gate touches, in order."""
+    files: list = []
+    for quad in entry.reads + entry.writes:
+        if quad[0] not in files:  # TrackerFile compares by identity
+            files.append(quad[0])
+    return tuple(files)
+
+
+class _RunClock:
+    """The engine's scheduler-round counter.  The telemetry hooks and
+    the DMA fault injector read the round from here, so neither has to
+    reference the engine."""
+
+    __slots__ = ("rounds",)
+
+    def __init__(self) -> None:
+        self.rounds = 0
+
+
+class _DmaFlips:
+    """Seeded dma-bitflip fault injection (a
+    :class:`repro.faults.model.FaultMask`, duck-typed — ``dma_flip_rate``
+    and ``spec.seed`` suffice).  Flips are drawn from a named RNG stream
+    so a given seed corrupts the same transfers in every run; the legacy
+    interpreter and the decoded DMA kernels share one stream."""
+
+    __slots__ = ("rate", "rng", "count", "telemetry", "clock")
+
+    def __init__(self, faults, telemetry, clock: _RunClock) -> None:
+        self.rate = float(getattr(faults, "dma_flip_rate", 0.0) or 0.0)
+        seed = getattr(getattr(faults, "spec", None), "seed", 0)
+        self.rng = random.Random(f"scaledeep-dma:{seed}")
+        self.count = 0
+        self.telemetry = telemetry if telemetry.enabled else None
+        self.clock = clock
+
+    def payload(self, data: np.ndarray, tile_id: str) -> np.ndarray:
+        """Copy a DMA transfer's words, injecting a sign-bit flip on one
+        word when a dma-bitflip fault fires for this transfer."""
+        out = np.array(data, dtype=np.float32)
+        if self.rate and out.size and self.rng.random() < self.rate:
+            flat = out.reshape(-1)
+            index = self.rng.randrange(flat.size)
+            flat[index] = -flat[index]
+            self.count += 1
+            tel = self.telemetry
+            if tel is not None:
+                tel.instant(
+                    "fault.dma_flip", "faults", ("faults", "dma-bitflip"),
+                    self.clock.rounds, tile=tile_id, index=index,
+                )
+                tel.count("faults", "dma_flips")
+        return out
+
+
+def _observe_dma(tel, comp: CompTile, size: int) -> None:
+    """One DMA transfer's telemetry: the per-tile byte counter (as a
+    timestamped sample, so the Chrome trace plots a series) and the
+    transfer-size distribution metric."""
+    tel.count(
+        f"tile/{comp.tile_id}", "dma_bytes", 4 * size, ts=comp.cycles
+    )
+    tel.observe("engine.dma", "transfer_bytes", 4 * size)
+
+
+def _external_io(ext: np.ndarray):
+    """The (reader, writer) pair of external memory ``ext``."""
+
+    def read(addr: int, count: int) -> np.ndarray:
+        return ext[addr : addr + count]
+
+    def write(addr: int, data: np.ndarray, accumulate: bool) -> None:
+        flat = data.reshape(-1).astype(np.float32)
+        if accumulate:
+            ext[addr : addr + flat.size] += flat
+        else:
+            ext[addr : addr + flat.size] = flat
+
+    return read, write
+
+
+# ----------------------------------------------------------------------
+# Decoded-instruction kernels.  Each data opcode has a single-image body
+# and a batched body over one shared flat ``args`` tuple; both take the
+# run's state first (the single-image bodies ignore it and move words
+# through the pre-bound port readers ``rd`` and writers ``wr``).  The
+# single-image bodies replay the legacy interpreter's numpy calls
+# verbatim — regression tests pin bit-identical outputs.
+# ----------------------------------------------------------------------
+_ZERO_BIAS = np.zeros(1, dtype=np.float32)
+
+
+def _conv(state, rd, wr, in_port, out_port, in_addr, kernel_addr,
+          out_addr, h, w, k, stride, pad, accum) -> None:
+    x = rd(in_addr, h * w)
+    kern = rd(kernel_addr, k * k)
+    out = ops.conv2d_forward(
+        x.reshape(1, h, w), kern.reshape(1, 1, k, k), _ZERO_BIAS,
+        stride, pad,
+    )
+    wr(out_addr, out, accum)
+
+
+def _conv_batch(state, rd, wr, in_port, out_port, in_addr, kernel_addr,
+                out_addr, h, w, k, stride, pad, accum) -> None:
+    x = state.read(in_port, in_addr, h * w)
+    kern = state.read(in_port, kernel_addr, k * k)
+    out = ops.conv2d_plane_batched(
+        x.reshape(-1, h, w), kern.reshape(-1, k, k), stride, pad,
+    )
+    state.write(out_port, out_addr, out, accum)
+
+
+def _matmul(state, rd_vec, rd_mat, wr, in1_port, in2_port, out_port,
+            in1_addr, in2_addr, out_addr, n, rows, cols, accum) -> None:
+    vec = rd_vec(in1_addr, n)
+    mat = rd_mat(in2_addr, rows * cols).reshape(rows, cols)
+    wr(out_addr, mat @ vec, accum)
+
+
+def _matmul_batch(state, rd_vec, rd_mat, wr, in1_port, in2_port, out_port,
+                  in1_addr, in2_addr, out_addr, n, rows, cols,
+                  accum) -> None:
+    vec = state.read(in1_port, in1_addr, n)
+    mat = state.read(in2_port, in2_addr, rows * cols).reshape(
+        -1, rows, cols
+    )
+    state.write(out_port, out_addr, ops.matmul_rows(mat, vec), accum)
+
+
+def _actfn(state, rd, wr, port, out_port, in_addr, out_addr, size,
+           fn_act) -> None:
+    data = rd(in_addr, size)
+    wr(out_addr, ops.activate(data.copy(), fn_act), False)
+
+
+def _actfn_batch(state, rd, wr, port, out_port, in_addr, out_addr, size,
+                 fn_act) -> None:
+    data = state.read(port, in_addr, size)
+    state.write(
+        out_port, out_addr, ops.activate_rows(data.copy(), fn_act), False
+    )
+
+
+def _actbp(state, rd, wr, port, out_port, err_addr, act_addr, out_addr,
+           size, fn_act) -> None:
+    err = rd(err_addr, size)
+    act = rd(act_addr, size)
+    wr(out_addr, ops.activate_backward(err.copy(), act, fn_act), False)
+
+
+def _actbp_batch(state, rd, wr, port, out_port, err_addr, act_addr,
+                 out_addr, size, fn_act) -> None:
+    err = state.read(port, err_addr, size)
+    act = state.read(port, act_addr, size)
+    state.write(
+        out_port, out_addr, ops.activate_backward(err.copy(), act, fn_act),
+        False,
+    )
+
+
+def _subsamp(state, rd, wr, port, out_port, in_addr, out_addr, h, w,
+             window, stride, mode) -> None:
+    x = rd(in_addr, h * w)
+    out, _ = ops.pool_forward(x.reshape(1, h, w), window, stride, 0, mode)
+    wr(out_addr, out, False)
+
+
+def _subsamp_batch(state, rd, wr, port, out_port, in_addr, out_addr, h, w,
+                   window, stride, mode) -> None:
+    # Batch rides the channel axis: pool_forward pools each leading-axis
+    # plane independently.
+    x = state.read(port, in_addr, h * w)
+    out, _ = ops.pool_forward(x.reshape(-1, h, w), window, stride, 0, mode)
+    state.write(out_port, out_addr, out, False)
+
+
+# NDUPSAMP, one pair per mode; ``out_h``/``out_w`` is the upsampled
+# extent and the max mode's original feature sits right after the error.
+def _upsamp_zero(state, rd, wr, port, out_port, in_addr, out_addr, h, w,
+                 window, stride, out_h, out_w) -> None:
+    err = rd(in_addr, h * w).reshape(1, h, w)
+    up = np.zeros((1, out_h, out_w), dtype=np.float32)
+    up[0, ::stride, ::stride] = err[0]
+    wr(out_addr, up, False)
+
+
+def _upsamp_zero_batch(state, rd, wr, port, out_port, in_addr, out_addr,
+                       h, w, window, stride, out_h, out_w) -> None:
+    err = state.read(port, in_addr, h * w).reshape(-1, h, w)
+    up = np.zeros((err.shape[0], out_h, out_w), dtype=np.float32)
+    up[:, ::stride, ::stride] = err
+    state.write(out_port, out_addr, up, False)
+
+
+def _upsamp_max(state, rd, wr, port, out_port, in_addr, out_addr, h, w,
+                window, stride, out_h, out_w) -> None:
+    err = rd(in_addr, h * w).reshape(1, h, w)
+    original = rd(in_addr + h * w, out_h * out_w).reshape(1, out_h, out_w)
+    _, argmax = ops.pool_forward(original, window, stride, 0, PoolMode.MAX)
+    up = ops.pool_backward(
+        err.copy(), (1, out_h, out_w), window, stride, 0, PoolMode.MAX,
+        argmax,
+    )
+    wr(out_addr, up, False)
+
+
+def _upsamp_max_batch(state, rd, wr, port, out_port, in_addr, out_addr,
+                      h, w, window, stride, out_h, out_w) -> None:
+    err = state.read(port, in_addr, h * w).reshape(-1, h, w)
+    original = state.read(
+        port, in_addr + h * w, out_h * out_w
+    ).reshape(-1, out_h, out_w)
+    _, argmax = ops.pool_forward(original, window, stride, 0, PoolMode.MAX)
+    up = ops.pool_backward(
+        err.copy(), original.shape, window, stride, 0, PoolMode.MAX, argmax,
+    )
+    state.write(out_port, out_addr, up, False)
+
+
+def _upsamp_avg(state, rd, wr, port, out_port, in_addr, out_addr, h, w,
+                window, stride, out_h, out_w) -> None:
+    err = rd(in_addr, h * w).reshape(1, h, w)
+    up = ops.pool_backward(
+        err.copy(), (1, out_h, out_w), window, stride, 0, PoolMode.AVG,
+        np.empty(0),
+    )
+    wr(out_addr, up, False)
+
+
+def _upsamp_avg_batch(state, rd, wr, port, out_port, in_addr, out_addr,
+                      h, w, window, stride, out_h, out_w) -> None:
+    err = state.read(port, in_addr, h * w).reshape(-1, h, w)
+    up = ops.pool_backward(
+        err.copy(), (err.shape[0], out_h, out_w), window, stride, 0,
+        PoolMode.AVG, np.empty(0),
+    )
+    state.write(out_port, out_addr, up, False)
+
+
+_UPSAMP_KERNELS = {
+    UPSAMP_ZERO_INSERT: (_upsamp_zero, _upsamp_zero_batch),
+    SAMP_CODES[PoolMode.MAX]: (_upsamp_max, _upsamp_max_batch),
+    SAMP_CODES[PoolMode.AVG]: (_upsamp_avg, _upsamp_avg_batch),
+}
+
+
+def _accum(state, rd, wr, port, src_addr, dst_addr, size) -> None:
+    wr(dst_addr, rd(src_addr, size), True)
+
+
+def _accum_batch(state, rd, wr, port, src_addr, dst_addr, size) -> None:
+    state.write(port, dst_addr, state.read(port, src_addr, size), True)
+
+
+def _vecmul(state, rd, wr, port, in1_addr, in2_addr, out_addr,
+            size) -> None:
+    wr(out_addr, rd(in1_addr, size) * rd(in2_addr, size), False)
+
+
+def _vecmul_batch(state, rd, wr, port, in1_addr, in2_addr, out_addr,
+                  size) -> None:
+    a = state.read(port, in1_addr, size)
+    b = state.read(port, in2_addr, size)
+    state.write(port, out_addr, a * b, False)
+
+
+def _wupdate(state, rd, wr, port, weight_addr, grad_addr, size,
+             lr) -> None:
+    # Apply-and-consume: the gradient region is cleared after the update
+    # so the next iteration's WG accumulation starts fresh.
+    grad = rd(grad_addr, size).copy()
+    wr(weight_addr, -lr * grad, True)
+    wr(grad_addr, np.zeros(size, dtype=np.float32), False)
+
+
+def _wupdate_batch(state, rd, wr, port, weight_addr, grad_addr, size,
+                   lr) -> None:
+    grad = state.read(port, grad_addr, size).copy()
+    state.write(port, weight_addr, -lr * grad, True)
+    state.write(port, grad_addr, np.zeros_like(grad), False)
+
+
+def _dma(state, rd, wr, src_port, src_addr, dst_port, dst_addr, size,
+         accum, flips, tel, comp) -> None:
+    """DMALOAD/DMASTORE/PREFETCH; ``flips`` is the engine's
+    :class:`_DmaFlips` when dma-bitflip faults are on, ``tel`` the
+    telemetry when enabled (else None)."""
+    if flips is None:
+        data = np.array(rd(src_addr, size), dtype=np.float32)
+    else:
+        data = flips.payload(rd(src_addr, size), comp.tile_id)
+    wr(dst_addr, data, accum)
+    if tel is not None:
+        _observe_dma(tel, comp, size)
+
+
+def _dma_batch(state, rd, wr, src_port, src_addr, dst_port, dst_addr,
+               size, accum, flips, tel, comp) -> None:
+    # make_batch refuses dma-bitflip faults, so the payload is a plain
+    # copy here.
+    data = state.read(src_port, src_addr, size)
+    state.write(dst_port, dst_addr, np.array(data, dtype=np.float32), accum)
+    if tel is not None:
+        _observe_dma(tel, comp, size)
+
+
+def _passbuff(state) -> None:
+    """PASSBUFF_RD/WR: streaming FIFO setup; data moves with the
+    consuming compute instruction, only the handshake costs cycles."""
+
+
+def _arm(state, trackers, addr, size, num_updates, num_reads) -> None:
+    trackers.arm(addr, size, num_updates, num_reads)
+
+
+# Superop kernels: each is written once for a leading batch axis and
+# moves words through the state's read/write, so one kernel serves
+# batched runs and (on the engine's batch-1 _ImageState) single images.
+def _load_run(state, moves, tel, comp) -> None:
+    for src_port, src_addr, dst_port, dst_addr, size, accum in moves:
+        # No dma payload: fused decode and make_batch refuse dma-flip
+        # faults, and BatchState.write always copies.
+        state.write(
+            dst_port, dst_addr, state.read(src_port, src_addr, size), accum,
+        )
+        if tel is not None:
+            _observe_dma(tel, comp, size)
+
+
+def _conv_block(state, in_port, h, w, k, stride, pad, out_size,
+                n_features, pre_base, bias_base, plan, fn_act, out_port,
+                home_port, home_addr) -> None:
+    bias = state.read(out_port, bias_base, n_features * out_size)
+    pre, act = ops.conv_block_forward(
+        state.words(in_port), plan, k, stride, pad, (h, w), out_size,
+        n_features, bias, fn_act,
+    )
+    state.write(out_port, pre_base, pre, False)
+    state.write(home_port, home_addr, act, False)
+
+
+def _fc_block(state, vec_port, mat_port, pre_port, home_port, n, rows,
+              vec_addr, mat_addr, pre_addr, bias_addr, home_addr,
+              fn_act) -> None:
+    mats = state.read(mat_port, mat_addr, rows * n).reshape(-1, rows, n)
+    vecs = state.read(vec_port, vec_addr, n)
+    bias = state.read(pre_port, bias_addr, rows)
+    pre, act = ops.fc_block_forward(mats, vecs, bias, fn_act)
+    state.write(pre_port, pre_addr, pre, False)
+    state.write(home_port, home_addr, act, False)
+
+
+def _pool_run(state, groups) -> None:
+    # Batch rides the plane axis: pool_forward pools each leading-axis
+    # plane independently.
+    for (port, in_addr, words, h, w, window, stride, mode, out_port,
+         out_addr) in groups:
+        x = state.read(port, in_addr, words)
+        out, _ = ops.pool_forward(
+            x.reshape(-1, h, w), window, stride, 0, mode
+        )
+        state.write(out_port, out_addr, out, False)
+
+
+def _tracker_emitter(tel, clock: _RunClock, mem_tile_id: int):
+    """A tracker-file event hook timestamped by the engine's round."""
+
+    def emit(event: str, start: int, size: int, phase: str) -> None:
+        tel.instant(
+            f"tracker.{event}", "engine.tracker",
+            ("engine/trackers", f"mem {mem_tile_id}"), clock.rounds,
+            addr_range=[start, start + size], phase=phase,
+        )
+        tel.count(f"mem/{mem_tile_id}", f"tracker_{event}")
+
+    return emit
 
 
 class BatchState:
@@ -203,9 +607,6 @@ class BatchState:
     def __init__(self, engine: "Engine", batch: int) -> None:
         if batch < 1:
             raise SimulationError(f"batch size must be >= 1, got {batch}")
-        # The machine and external memory, not the engine: the engine's
-        # decoded closures already form a reference cycle, and the
-        # mirrors must not ride it (see Engine.end_batch).
         self.machine = engine.machine
         self.external = engine.external
         self.batch = batch
@@ -301,6 +702,9 @@ class Engine:
         #: execution.
         self.fused = fused and fast
         self._decoded: Dict[str, List[_Decoded]] = {}
+        #: Per-port (reader, writer) pairs, bound once and shared by
+        #: every decoded entry touching the port.
+        self._io: Dict[int, tuple] = {}
         self._batch: Optional[BatchState] = None
         #: The batch-1 state superop kernels run on in single-image runs.
         self._image = _ImageState(self)
@@ -308,27 +712,19 @@ class Engine:
         #: it is killed with a :class:`SimulationTimeout` (None = no
         #: limit; the ``max_rounds`` cycle budget always applies).
         self.wall_clock_limit = wall_clock_limit
-        #: DMA bit-flip faults: a :class:`repro.faults.model.FaultMask`
-        #: (duck-typed — ``dma_flip_rate`` and ``spec.seed`` suffice).
-        #: Flips are drawn from a named RNG stream so a given seed
-        #: corrupts the same transfers in every run.
-        self._dma_flip_rate = float(
-            getattr(faults, "dma_flip_rate", 0.0) or 0.0
-        )
-        seed = getattr(getattr(faults, "spec", None), "seed", 0)
-        self._dma_rng = random.Random(f"scaledeep-dma:{seed}")
-        self.dma_flips = 0
-        self.rounds = 0
-        #: Optional execution trace: (round, tile_id, instruction text).
-        self.trace_enabled = trace
-        self.trace_limit = trace_limit
-        self.trace: List[Tuple[int, str, str]] = []
+        self._clock = _RunClock()
         #: Telemetry handle: explicit injection wins, else the process
         #: global (a null object by default — see repro.telemetry).
         self.telemetry = telemetry if telemetry is not None else (
             get_telemetry()
         )
         self._tel_on = self.telemetry.enabled
+        #: DMA bit-flip faults (see :class:`_DmaFlips`).
+        self._flips = _DmaFlips(faults, self.telemetry, self._clock)
+        #: Optional execution trace: (round, tile_id, instruction text).
+        self.trace_enabled = trace
+        self.trace_limit = trace_limit
+        self.trace: List[Tuple[int, str, str]] = []
         #: Last tracker obstruction per tile: (kind, port, addr, count,
         #: phase) — feeds the deadlock diagnostic and telemetry.
         self._block_reason: Dict[str, Tuple[str, int, int, int, str]] = {}
@@ -336,21 +732,19 @@ class Engine:
         # arm/block/expire events, disabled engines restore the no-op.
         for mem in machine.mem_tiles:
             mem.trackers.emit = (
-                self._tracker_emitter(mem.tile_id) if self._tel_on else None
+                _tracker_emitter(self.telemetry, self._clock, mem.tile_id)
+                if self._tel_on else None
             )
 
-    def _tracker_emitter(self, mem_tile_id: int):
-        tel = self.telemetry
+    @property
+    def rounds(self) -> int:
+        """Scheduler rounds of the current (or last) run."""
+        return self._clock.rounds
 
-        def emit(event: str, start: int, size: int, phase: str) -> None:
-            tel.instant(
-                f"tracker.{event}", "engine.tracker",
-                ("engine/trackers", f"mem {mem_tile_id}"), self.rounds,
-                addr_range=[start, start + size], phase=phase,
-            )
-            tel.count(f"mem/{mem_tile_id}", f"tracker_{event}")
-
-        return emit
+    @property
+    def dma_flips(self) -> int:
+        """DMA transfers corrupted by dma-bitflip faults so far."""
+        return self._flips.count
 
     # ------------------------------------------------------------------
     # Host interaction
@@ -414,7 +808,7 @@ class Engine:
             ):
                 tile.trackers.blocked_reads += 1
                 self._note_block(
-                    comp, "read", port, addr, count, TrackerPhase.UPDATING
+                    comp, ("read", port, addr, count, _UPDATING)
                 )
                 return False
         for port, addr, count in writes:
@@ -424,7 +818,7 @@ class Engine:
             ):
                 tile.trackers.blocked_writes += 1
                 self._note_block(
-                    comp, "write", port, addr, count, TrackerPhase.READABLE
+                    comp, ("write", port, addr, count, _READABLE)
                 )
                 return False
         # All clear: consume.
@@ -441,23 +835,17 @@ class Engine:
         return True
 
     def _note_block(
-        self,
-        comp: CompTile,
-        kind: str,
-        port: int,
-        addr: int,
-        count: int,
-        phase: TrackerPhase,
+        self, comp: CompTile, reason: Tuple[str, int, int, int, str]
     ) -> None:
-        self._block_reason[comp.tile_id] = (
-            kind, port, addr, count, phase.value
-        )
+        """Record why ``comp`` is blocked: ``reason`` is the obstructed
+        ``(kind, port, addr, count, phase)``."""
+        self._block_reason[comp.tile_id] = reason
         if self._tel_on:
+            kind, port, addr, count, phase = reason
             self.telemetry.instant(
                 f"blocked.{kind}", "engine.block",
                 ("engine", f"tile {comp.tile_id}"), comp.cycles,
-                port=port, addr_range=[addr, addr + count],
-                phase=phase.value,
+                port=port, addr_range=[addr, addr + count], phase=phase,
             )
 
     # ------------------------------------------------------------------
@@ -475,27 +863,6 @@ class Engine:
         sfu = self.machine.chip.mem_tile.num_sfu
         return _SETUP_OFFLOAD + math.ceil(elems / sfu)
 
-    def _dma_payload(self, data: np.ndarray, tile_id: str) -> np.ndarray:
-        """Copy a DMA transfer's words, injecting a sign-bit flip on one
-        word when a dma-bitflip fault fires for this transfer."""
-        out = np.array(data, dtype=np.float32)
-        if (
-            self._dma_flip_rate
-            and out.size
-            and self._dma_rng.random() < self._dma_flip_rate
-        ):
-            flat = out.reshape(-1)
-            index = self._dma_rng.randrange(flat.size)
-            flat[index] = -flat[index]
-            self.dma_flips += 1
-            if self._tel_on:
-                self.telemetry.instant(
-                    "fault.dma_flip", "faults", ("faults", "dma-bitflip"),
-                    self.rounds, tile=tile_id, index=index,
-                )
-                self.telemetry.count("faults", "dma_flips")
-        return out
-
     def _dma_cycles(self, words: int, src_port: int, dst_port: int) -> int:
         chip = self.machine.chip
         if EXTERNAL_PORT in (src_port, dst_port):
@@ -511,17 +878,16 @@ class Engine:
     # ------------------------------------------------------------------
     def _execute(self, tile: CompTile, instr: Instruction) -> Optional[int]:
         op = instr.opcode
-        o = instr.named_operands()
+        values = instr.operands
         if instr.group is not InstrGroup.SCALAR:
             # Resolve register-indirect operands (Fig 13-style R-args).
-            o = {
-                name: (
-                    tile.reg(value & REG_OPERAND_MASK)
-                    if is_reg_operand(value)
-                    else value
-                )
-                for name, value in o.items()
-            }
+            values = tuple(
+                tile.reg(value & REG_OPERAND_MASK)
+                if is_reg_operand(value)
+                else value
+                for value in values
+            )
+        o = dict(zip(OPERAND_NAMES[op], values))
 
         # --- scalar control -------------------------------------------
         if op is Opcode.LDRI:
@@ -576,7 +942,7 @@ class Engine:
         # --- data instructions: gate via the shared access analysis
         # (the same facts the tracker calibrator counts), evaluated on
         # the resolved operands ------------------------------------------
-        reads, writes = operand_accesses(op, o)
+        reads, writes = operand_accesses(op, values)
         if (reads or writes) and not self._gate(tile, reads, writes):
             return None
 
@@ -725,11 +1091,11 @@ class Engine:
             data = self._read_words(o["src_port"], o["src_addr"], size)
             self._write_words(
                 o["dst_port"], o["dst_addr"],
-                self._dma_payload(data, tile.tile_id),
+                self._flips.payload(data, tile.tile_id),
                 bool(o["is_accum"]),
             )
             if self._tel_on:
-                self._observe_dma(tile.tile_id, size)
+                _observe_dma(self.telemetry, tile, size)
             return self._dma_cycles(size, o["src_port"], o["dst_port"])
 
         if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
@@ -742,10 +1108,10 @@ class Engine:
             data = self.external[o["src_addr"] : o["src_addr"] + size]
             self._write_words(
                 o["dst_port"], o["dst_addr"],
-                self._dma_payload(data, tile.tile_id), False,
+                self._flips.payload(data, tile.tile_id), False,
             )
             if self._tel_on:
-                self._observe_dma(tile.tile_id, size)
+                _observe_dma(self.telemetry, tile, size)
             return self._dma_cycles(size, EXTERNAL_PORT, o["dst_port"])
 
         raise SimulationError(f"engine cannot execute {op.value}")
@@ -767,7 +1133,7 @@ class Engine:
                 "batched execution requires the pre-decoded fast path "
                 "(fast=True)"
             )
-        if self._dma_flip_rate:
+        if self._flips.rate:
             raise SimulationError(
                 "batched execution is incompatible with dma-bitflip "
                 "faults: flips target single transfers, not minibatches"
@@ -776,40 +1142,31 @@ class Engine:
         return self._batch
 
     def end_batch(self) -> None:
-        """Drop the batch mirrors; later runs are single-image again.
-
-        The decoded closures capture the engine, so an engine is only
-        freed by a full garbage collection — which fused batched runs,
-        allocating few Python objects, rarely trigger.  Dropping the
-        :class:`BatchState` here frees its ``(batch, words)`` mirrors
-        at once instead."""
+        """Drop the batch mirrors; later runs are single-image again."""
         self._batch = None
 
-    def _reader(self, port: int):
-        """A bound ``(addr, count) -> words`` reader for ``port``."""
-        tile = self._tile(port)
-        if tile is None:
-            ext = self.external
-            return lambda addr, count: ext[addr : addr + count]
-        return tile.read
+    def _port_io(self, port: int) -> tuple:
+        """The bound ``(reader, writer)`` pair of ``port`` — readers
+        take ``(addr, count)``, writers ``(addr, data, accumulate)`` —
+        built once per port."""
+        io = self._io.get(port)
+        if io is None:
+            tile = self._tile(port)
+            io = self._io[port] = (
+                _external_io(self.external) if tile is None
+                else (tile.read, tile.write)
+            )
+        return io
 
-    def _writer(self, port: int):
-        """A bound ``(addr, data, accumulate)`` writer for ``port``."""
-        tile = self._tile(port)
-        if tile is None:
-            ext = self.external
-
-            def write_external(
-                addr: int, data: np.ndarray, accumulate: bool
-            ) -> None:
-                flat = data.reshape(-1).astype(np.float32)
-                if accumulate:
-                    ext[addr : addr + flat.size] += flat
-                else:
-                    ext[addr : addr + flat.size] = flat
-
-            return write_external
-        return tile.write
+    def _quads(self, accesses) -> tuple:
+        """Gate quads ``(trackers, port, addr, count)`` of the tracked
+        ports among ``accesses`` (external memory is never gated)."""
+        quads = []
+        for port, addr, count in accesses:
+            tile = self._tile(port)
+            if tile is not None:
+                quads.append((tile.trackers, port, addr, count))
+        return tuple(quads)
 
     def _decode_program(self, tile: CompTile) -> List[_Decoded]:
         cached = self._decoded.get(tile.tile_id)
@@ -818,13 +1175,13 @@ class Engine:
         entries = None
         if (
             self.fused
-            and not self._dma_flip_rate
+            and not self._flips.rate
             and getattr(tile.program, "superops", ())
         ):
             entries = self._decode_fused(tile)
         if entries is None:
             entries = [
-                self._decode_instr(instr, tile.tile_id)
+                self._decode_instr(instr, tile)
                 for instr in tile.program.instructions
             ]
         self._decoded[tile.tile_id] = entries
@@ -853,158 +1210,87 @@ class Engine:
             return None
         for pc in range(n):
             if entries[pc] is None:
-                entries[pc] = self._decode_instr(instrs[pc], tile.tile_id)
+                entries[pc] = self._decode_instr(instrs[pc], tile)
         return entries
 
     def _instr_cost(self, instr: Instruction) -> int:
         """The decoded cycle cost of one fusable data instruction,
-        computed from operands alone (no closure build) — superop costs
+        computed from operands alone (no kernel binding) — superop costs
         are pre-summed from these so fused and per-instruction reports
         reconcile exactly."""
         op = instr.opcode
-        o = instr.named_operands()
+        o = instr.operands
         if op in (Opcode.DMALOAD, Opcode.DMASTORE):
-            return self._dma_cycles(o["size"], o["src_port"], o["dst_port"])
+            _, src_port, _, dst_port, size, _ = o
+            return self._dma_cycles(size, src_port, dst_port)
         if op is Opcode.NDCONV:
-            h, w = unpack_shape(o["in_size"])
-            k, _ = unpack_shape(o["kernel_size"])
-            stride, pad = o["stride"], o["pad"]
+            _, _, in_size, _, kernel_size, stride, pad, _, _, _ = o
+            h, w = unpack_shape(in_size)
+            k, _ = unpack_shape(kernel_size)
             out_h = (h + 2 * pad - k) // stride + 1
             out_w = (w + 2 * pad - k) // stride + 1
             return self._conv_cycles(out_h * out_w, k)
         if op is Opcode.MATMUL:
-            rows, cols = unpack_shape(o["in2_size"])
+            rows, cols = unpack_shape(o[5])  # in2_size
             return self._matmul_cycles(rows * cols)
-        if op in (Opcode.NDACCUM, Opcode.NDACTFN):
-            return self._offload_cycles(o["size"])
+        if op is Opcode.NDACCUM:
+            return self._offload_cycles(o[2])  # size
+        if op is Opcode.NDACTFN:
+            return self._offload_cycles(o[3])  # size
         if op is Opcode.NDSUBSAMP:
-            h, w = unpack_shape(o["in_size"])
+            h, w = unpack_shape(o[3])  # in_size
             return self._offload_cycles(h * w)
         raise SimulationError(
             f"superop member {op.value} has no fused cost"
         )
 
-    def _build_super(
-        self, sup, instrs, tile: CompTile
-    ) -> "_Super":
+    def _build_super(self, sup, instrs, tile: CompTile) -> "_Super":
         cost = sum(
             self._instr_cost(instrs[pc])
             for pc in range(sup.start, sup.end)
         )
-        reads = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in sup.external_reads
-        )
-        writes = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in sup.external_writes
-        )
+        reads = self._quads(sup.external_reads)
+        writes = self._quads(sup.external_writes)
         expire = tuple(
             (self.machine.mem_tile(port).trackers, addr, size)
             for port, addr, size in sup.expire
         )
-        params = dict(sup.params)
-        builder = {
-            "load_run": self._super_load_run,
-            "conv_block": self._super_conv_block,
-            "fc_block": self._super_fc_block,
-            "pool_run": self._super_pool_run,
-        }.get(sup.kind)
-        if builder is None:
-            raise SimulationError(f"unknown superop kind {sup.kind!r}")
-        kernel = builder(params, tile.tile_id)
-        image = self._image
+        p = dict(sup.params)
+        kind = sup.kind
+        if kind == "load_run":
+            kernel, args = _load_run, (
+                p["dmas"], self.telemetry if self._tel_on else None, tile,
+            )
+        elif kind == "conv_block":
+            kernel, args = _conv_block, (
+                p["in_port"], p["h"], p["w"], p["k"], p["stride"],
+                p["pad"], p["out_size"], p["n_features"], p["pre_base"],
+                p["bias_base"], ops.conv_block_plan(p["steps"], p["k"]),
+                _CODE_TO_ACT[p["fn_type"]], p["out_port"],
+                p["home_port"], p["home_addr"],
+            )
+        elif kind == "fc_block":
+            kernel, args = _fc_block, (
+                p["vec_port"], p["mat_port"], p["pre_port"],
+                p["home_port"], p["n"], p["rows"], p["vec_addr"],
+                p["mat_addr"], p["pre_addr"], p["bias_addr"],
+                p["home_addr"], _CODE_TO_ACT[p["fn_type"]],
+            )
+        elif kind == "pool_run":
+            kernel, args = _pool_run, (tuple(
+                (
+                    port, in_addr, count * h * w, h, w, window, stride,
+                    _CODE_TO_SAMP[samp], out_port, out_addr,
+                )
+                for port, in_addr, count, h, w, window, stride, samp,
+                out_port, out_addr in p["groups"]
+            ),)
+        else:
+            raise SimulationError(f"unknown superop kind {kind!r}")
         return _Super(
-            sup.kind, sup.start, sup.end, sup.end - sup.start, cost,
-            lambda: kernel(image), kernel, reads, writes, expire,
+            kind, sup.start, sup.end, cost, kernel, args, reads, writes,
+            expire,
         )
-
-    # Superop kernels: each takes a BatchState (the engine's batch-1
-    # _ImageState in single-image runs) and moves words through its
-    # read/write, so one kernel serves both modes.
-    def _super_load_run(self, params: dict, tile_id: str):
-        moves = params["dmas"]
-
-        def load_run(state: BatchState) -> None:
-            tel = self._tel_on
-            for src_port, src_addr, dst_port, dst_addr, size, accum in moves:
-                # No _dma_payload: fused decode and make_batch refuse
-                # dma-flip faults, and BatchState.write always copies.
-                state.write(
-                    dst_port, dst_addr,
-                    state.read(src_port, src_addr, size), accum,
-                )
-                if tel:
-                    self._observe_dma(tile_id, size)
-
-        return load_run
-
-    def _super_conv_block(self, params: dict, tile_id: str):
-        in_port = params["in_port"]
-        h, w = params["h"], params["w"]
-        k, stride, pad = params["k"], params["stride"], params["pad"]
-        out_size = params["out_size"]
-        n_features = params["n_features"]
-        pre_base, bias_base = params["pre_base"], params["bias_base"]
-        plan = ops.conv_block_plan(params["steps"], k)
-        fn_act = _CODE_TO_ACT[params["fn_type"]]
-        out_port = params["out_port"]
-        home_port, home_addr = params["home_port"], params["home_addr"]
-
-        def conv_block(state: BatchState) -> None:
-            bias = state.read(out_port, bias_base, n_features * out_size)
-            pre, act = ops.conv_block_forward(
-                state.words(in_port), plan, k, stride, pad, (h, w),
-                out_size, n_features, bias, fn_act,
-            )
-            state.write(out_port, pre_base, pre, False)
-            state.write(home_port, home_addr, act, False)
-
-        return conv_block
-
-    def _super_fc_block(self, params: dict, tile_id: str):
-        vec_port, mat_port = params["vec_port"], params["mat_port"]
-        pre_port, home_port = params["pre_port"], params["home_port"]
-        n, rows = params["n"], params["rows"]
-        vec_addr, mat_addr = params["vec_addr"], params["mat_addr"]
-        pre_addr, bias_addr = params["pre_addr"], params["bias_addr"]
-        home_addr = params["home_addr"]
-        fn_act = _CODE_TO_ACT[params["fn_type"]]
-
-        def fc_block(state: BatchState) -> None:
-            mats = state.read(mat_port, mat_addr, rows * n).reshape(
-                -1, rows, n
-            )
-            vecs = state.read(vec_port, vec_addr, n)
-            bias = state.read(pre_port, bias_addr, rows)
-            pre, act = ops.fc_block_forward(mats, vecs, bias, fn_act)
-            state.write(pre_port, pre_addr, pre, False)
-            state.write(home_port, home_addr, act, False)
-
-        return fc_block
-
-    def _super_pool_run(self, params: dict, tile_id: str):
-        groups = tuple(
-            (
-                port, in_addr, count * h * w, h, w, window, stride,
-                _CODE_TO_SAMP[samp], out_port, out_addr,
-            )
-            for port, in_addr, count, h, w, window, stride, samp,
-            out_port, out_addr in params["groups"]
-        )
-
-        def pool_run(state: BatchState) -> None:
-            # Batch rides the plane axis: pool_forward pools each
-            # leading-axis plane independently.
-            for (port, in_addr, words, h, w, window, stride, mode,
-                 out_port, out_addr) in groups:
-                x = state.read(port, in_addr, words)
-                out, _ = ops.pool_forward(
-                    x.reshape(-1, h, w), window, stride, 0, mode
-                )
-                state.write(out_port, out_addr, out, False)
-
-        return pool_run
 
     def _note_fallback(self, instr: Instruction, reason: str) -> None:
         """Count one decode→interpreter fallback, keyed by opcode and
@@ -1014,7 +1300,7 @@ class Engine:
                 "engine.fallback", f"{instr.opcode.value}:{reason}"
             )
 
-    def _decode_instr(self, instr: Instruction, tile_id: str) -> _Decoded:
+    def _decode_instr(self, instr: Instruction, tile: CompTile) -> _Decoded:
         group = instr.group
         if group is InstrGroup.SCALAR:
             # Register/branch/halt: cheap already, and inherently
@@ -1030,11 +1316,9 @@ class Engine:
                 batch_safe=group is InstrGroup.TRACK,
             )
         if group is InstrGroup.TRACK:
-            o = instr.named_operands()
-            port = (
-                o["target"] if instr.opcode is Opcode.DMA_MEMTRACK
-                else o["port"]
-            )
+            addr, port, size, num_updates, num_reads = instr.operands[:5]
+            if instr.opcode is Opcode.DMA_MEMTRACK:
+                port = instr.operands[5]  # target
             if port == EXTERNAL_PORT:
                 # Arming external memory raises at execution time.
                 self._note_fallback(instr, "external-port")
@@ -1045,17 +1329,12 @@ class Engine:
                 # Out-of-mesh port: raise at execution, like _execute.
                 self._note_fallback(instr, "out-of-mesh-port")
                 return _Decoded(instr, fallback=True, batch_safe=True)
-            addr, size = o["addr"], o["size"]
-            num_updates, num_reads = o["num_updates"], o["num_reads"]
-
-            def arm() -> None:
-                trackers.arm(addr, size, num_updates, num_reads)
-
             return _Decoded(
-                instr, fn=arm, fn_batch=lambda state: arm(), cost=1
+                instr, fn=_arm, fn_batch=_arm,
+                args=(trackers, addr, size, num_updates, num_reads), cost=1,
             )
         try:
-            return self._decode_data(instr, tile_id)
+            return self._decode_data(instr, tile)
         except (SimulationError, KeyError, ZeroDivisionError) as exc:
             # The decode failures the legacy interpreter would raise at
             # *execution* time — shape mismatches and out-of-mesh ports
@@ -1068,426 +1347,184 @@ class Engine:
             )
             return _Decoded(instr, fallback=True, batch_safe=False)
 
-    def _decode_data(self, instr: Instruction, tile_id: str) -> _Decoded:
-        """Decode one data instruction into a :class:`_Decoded` entry.
-
-        The closures replicate the legacy :meth:`_execute` numpy calls
-        verbatim — regression tests pin bit-identical outputs — with all
-        operand parsing, access analysis and cost arithmetic hoisted to
-        decode time.
-        """
+    def _decode_data(self, instr: Instruction, tile: CompTile) -> _Decoded:
+        """Decode one data instruction into a :class:`_Decoded` entry:
+        its gate quads, cost, and the args tuple of its opcode's kernel
+        pair, with all operand parsing, access analysis and cost
+        arithmetic hoisted to decode time."""
         op = instr.opcode
-        o = instr.named_operands()
+        o = instr.operands
         raw_reads, raw_writes = instruction_accesses(instr)
-        reads = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in raw_reads
-        )
-        writes = tuple(
-            (self._tile(port), port, addr, count)
-            for port, addr, count in raw_writes
-        )
+        reads = self._quads(raw_reads)
+        writes = self._quads(raw_writes)
+        io = self._port_io
 
         if op is Opcode.NDCONV:
-            h, w = unpack_shape(o["in_size"])
-            k, _ = unpack_shape(o["kernel_size"])
-            stride, pad = o["stride"], o["pad"]
+            (in_addr, in_port, in_size, kernel_addr, kernel_size, stride,
+             pad, out_addr, out_port, is_accum) = o
+            h, w = unpack_shape(in_size)
+            k, _ = unpack_shape(kernel_size)
             out_h = (h + 2 * pad - k) // stride + 1
             out_w = (w + 2 * pad - k) // stride + 1
-            in_addr, kernel_addr = o["in_addr"], o["kernel_addr"]
-            in_port, out_port = o["in_port"], o["out_port"]
-            out_addr, accum = o["out_addr"], bool(o["is_accum"])
-            rd = self._reader(in_port)
-            wr = self._writer(out_port)
-            zero_bias = np.zeros(1, dtype=np.float32)
-
-            def conv() -> None:
-                x = rd(in_addr, h * w)
-                kern = rd(kernel_addr, k * k)
-                out = ops.conv2d_forward(
-                    x.reshape(1, h, w), kern.reshape(1, 1, k, k),
-                    zero_bias, stride, pad,
-                )
-                wr(out_addr, out, accum)
-
-            def conv_batch(state: BatchState) -> None:
-                x = state.read(in_port, in_addr, h * w)
-                kern = state.read(in_port, kernel_addr, k * k)
-                out = ops.conv2d_plane_batched(
-                    x.reshape(-1, h, w), kern.reshape(-1, k, k),
-                    stride, pad,
-                )
-                state.write(out_port, out_addr, out, accum)
-
-            return _Decoded(
-                instr, fn=conv, fn_batch=conv_batch, reads=reads,
-                writes=writes, cost=self._conv_cycles(out_h * out_w, k),
+            fn, fn_batch = _conv, _conv_batch
+            args = (
+                io(in_port)[0], io(out_port)[1], in_port, out_port,
+                in_addr, kernel_addr, out_addr, h, w, k, stride, pad,
+                bool(is_accum),
             )
-
-        if op is Opcode.MATMUL:
-            rows, cols = unpack_shape(o["in2_size"])
-            _, n = unpack_shape(o["in1_size"])
+            cost = self._conv_cycles(out_h * out_w, k)
+        elif op is Opcode.MATMUL:
+            (in1_addr, in1_port, in1_size, in2_addr, in2_port, in2_size,
+             out_addr, out_port, is_accum) = o
+            rows, cols = unpack_shape(in2_size)
+            _, n = unpack_shape(in1_size)
             if n != cols:
                 # Raise at execution time via the fallback path, after
                 # gating — identical to the legacy interpreter.
                 raise SimulationError("MATMUL shape mismatch")
-            in1_port, in2_port = o["in1_port"], o["in2_port"]
-            in1_addr, in2_addr = o["in1_addr"], o["in2_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            accum = bool(o["is_accum"])
-            rd_vec = self._reader(in1_port)
-            rd_mat = self._reader(in2_port)
-            wr = self._writer(out_port)
-
-            def matmul() -> None:
-                vec = rd_vec(in1_addr, n)
-                mat = rd_mat(in2_addr, rows * cols).reshape(rows, cols)
-                wr(out_addr, mat @ vec, accum)
-
-            def matmul_batch(state: BatchState) -> None:
-                vec = state.read(in1_port, in1_addr, n)
-                mat = state.read(
-                    in2_port, in2_addr, rows * cols
-                ).reshape(-1, rows, cols)
-                state.write(
-                    out_port, out_addr, ops.matmul_rows(mat, vec), accum
-                )
-
-            return _Decoded(
-                instr, fn=matmul, fn_batch=matmul_batch, reads=reads,
-                writes=writes, cost=self._matmul_cycles(rows * cols),
+            fn, fn_batch = _matmul, _matmul_batch
+            args = (
+                io(in1_port)[0], io(in2_port)[0], io(out_port)[1],
+                in1_port, in2_port, out_port, in1_addr, in2_addr,
+                out_addr, n, rows, cols, bool(is_accum),
             )
-
-        if op is Opcode.NDACTFN:
-            size = o["size"]
-            port, in_addr = o["port"], o["in_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            fn_act = _CODE_TO_ACT[o["fn_type"]]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
-
-            def actfn() -> None:
-                data = rd(in_addr, size)
-                wr(out_addr, ops.activate(data.copy(), fn_act), False)
-
-            def actfn_batch(state: BatchState) -> None:
-                data = state.read(port, in_addr, size)
-                state.write(
-                    out_port, out_addr,
-                    ops.activate_rows(data.copy(), fn_act), False,
-                )
-
-            return _Decoded(
-                instr, fn=actfn, fn_batch=actfn_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
-            )
-
-        if op is Opcode.NDACTBP:
-            size = o["size"]
-            port, err_addr = o["port"], o["err_addr"]
-            act_addr = err_addr + size
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            fn_act = _CODE_TO_ACT[o["fn_type"]]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
-
-            def actbp() -> None:
-                err = rd(err_addr, size)
-                act = rd(act_addr, size)
-                wr(
-                    out_addr,
-                    ops.activate_backward(err.copy(), act, fn_act), False,
-                )
-
-            def actbp_batch(state: BatchState) -> None:
-                err = state.read(port, err_addr, size)
-                act = state.read(port, act_addr, size)
-                state.write(
-                    out_port, out_addr,
-                    ops.activate_backward(err.copy(), act, fn_act), False,
-                )
-
-            return _Decoded(
-                instr, fn=actbp, fn_batch=actbp_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
-            )
-
-        if op is Opcode.NDSUBSAMP:
-            h, w = unpack_shape(o["in_size"])
-            window, stride = o["window"], o["stride"]
-            port, in_addr = o["port"], o["in_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            mode = _CODE_TO_SAMP[o["samp_type"]]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
-
-            def subsamp() -> None:
-                x = rd(in_addr, h * w)
-                out, _ = ops.pool_forward(
-                    x.reshape(1, h, w), window, stride, 0, mode
-                )
-                wr(out_addr, out, False)
-
-            def subsamp_batch(state: BatchState) -> None:
-                # Batch rides the channel axis: pool_forward pools each
-                # leading-axis plane independently.
-                x = state.read(port, in_addr, h * w)
-                out, _ = ops.pool_forward(
-                    x.reshape(-1, h, w), window, stride, 0, mode
-                )
-                state.write(out_port, out_addr, out, False)
-
-            return _Decoded(
-                instr, fn=subsamp, fn_batch=subsamp_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(h * w),
-            )
-
-        if op is Opcode.NDUPSAMP:
-            h, w = unpack_shape(o["in_size"])
-            window, stride = o["window"], o["stride"]
-            mode = o["samp_type"]
-            port, in_addr = o["port"], o["in_addr"]
-            out_port, out_addr = o["out_port"], o["out_addr"]
-            rd = self._reader(port)
-            wr = self._writer(out_port)
-            if mode == UPSAMP_ZERO_INSERT:
-                out_h = (h - 1) * stride + 1
-                out_w = (w - 1) * stride + 1
-
-                def upsamp() -> None:
-                    err = rd(in_addr, h * w).reshape(1, h, w)
-                    up = np.zeros((1, out_h, out_w), dtype=np.float32)
-                    up[0, ::stride, ::stride] = err[0]
-                    wr(out_addr, up, False)
-
-                def upsamp_batch(state: BatchState) -> None:
-                    err = state.read(port, in_addr, h * w)
-                    err = err.reshape(-1, h, w)
-                    up = np.zeros(
-                        (err.shape[0], out_h, out_w), dtype=np.float32
-                    )
-                    up[:, ::stride, ::stride] = err
-                    state.write(out_port, out_addr, up, False)
-
-            elif mode == SAMP_CODES[PoolMode.MAX]:
-                out_h, out_w = h * stride, w * stride
-                orig_addr = in_addr + h * w
-
-                def upsamp() -> None:
-                    err = rd(in_addr, h * w).reshape(1, h, w)
-                    original = rd(orig_addr, out_h * out_w).reshape(
-                        1, out_h, out_w
-                    )
-                    _, argmax = ops.pool_forward(
-                        original, window, stride, 0, PoolMode.MAX
-                    )
-                    up = ops.pool_backward(
-                        err.copy(), (1, out_h, out_w), window, stride, 0,
-                        PoolMode.MAX, argmax,
-                    )
-                    wr(out_addr, up, False)
-
-                def upsamp_batch(state: BatchState) -> None:
-                    err = state.read(port, in_addr, h * w)
-                    err = err.reshape(-1, h, w)
-                    original = state.read(
-                        port, orig_addr, out_h * out_w
-                    ).reshape(-1, out_h, out_w)
-                    _, argmax = ops.pool_forward(
-                        original, window, stride, 0, PoolMode.MAX
-                    )
-                    up = ops.pool_backward(
-                        err.copy(), original.shape, window, stride, 0,
-                        PoolMode.MAX, argmax,
-                    )
-                    state.write(out_port, out_addr, up, False)
-
-            elif mode == SAMP_CODES[PoolMode.AVG]:
-                out_h, out_w = h * stride, w * stride
-
-                def upsamp() -> None:
-                    err = rd(in_addr, h * w).reshape(1, h, w)
-                    up = ops.pool_backward(
-                        err.copy(), (1, out_h, out_w), window, stride, 0,
-                        PoolMode.AVG, np.empty(0),
-                    )
-                    wr(out_addr, up, False)
-
-                def upsamp_batch(state: BatchState) -> None:
-                    err = state.read(port, in_addr, h * w)
-                    err = err.reshape(-1, h, w)
-                    up = ops.pool_backward(
-                        err.copy(), (err.shape[0], out_h, out_w),
-                        window, stride, 0, PoolMode.AVG, np.empty(0),
-                    )
-                    state.write(out_port, out_addr, up, False)
-
+            cost = self._matmul_cycles(rows * cols)
+        elif op is Opcode.NDACTFN or op is Opcode.NDACTBP:
+            # NDACTFN reads its input at ``addr``; NDACTBP reads the raw
+            # error there and the activated outputs right after it (a
+            # companion operand would not fit Fig 8).
+            fn_type, addr, port, size, out_addr, out_port = o
+            fn_act = _CODE_TO_ACT[fn_type]
+            rd, wr = io(port)[0], io(out_port)[1]
+            if op is Opcode.NDACTFN:
+                fn, fn_batch = _actfn, _actfn_batch
+                args = (rd, wr, port, out_port, addr, out_addr, size,
+                        fn_act)
             else:
+                fn, fn_batch = _actbp, _actbp_batch
+                args = (rd, wr, port, out_port, addr, addr + size,
+                        out_addr, size, fn_act)
+            cost = self._offload_cycles(size)
+        elif op is Opcode.NDSUBSAMP:
+            (samp_type, in_addr, port, in_size, window, stride, out_addr,
+             out_port) = o
+            h, w = unpack_shape(in_size)
+            fn, fn_batch = _subsamp, _subsamp_batch
+            args = (
+                io(port)[0], io(out_port)[1], port, out_port, in_addr,
+                out_addr, h, w, window, stride, _CODE_TO_SAMP[samp_type],
+            )
+            cost = self._offload_cycles(h * w)
+        elif op is Opcode.NDUPSAMP:
+            (mode, in_addr, port, in_size, window, stride, out_addr,
+             out_port) = o
+            h, w = unpack_shape(in_size)  # error extent (small side)
+            kernels = _UPSAMP_KERNELS.get(mode)
+            if kernels is None:
                 raise SimulationError(f"unknown NDUPSAMP mode {mode}")
-
-            return _Decoded(
-                instr, fn=upsamp, fn_batch=upsamp_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(out_h * out_w),
+            fn, fn_batch = kernels
+            if mode == UPSAMP_ZERO_INSERT:
+                out_h, out_w = (h - 1) * stride + 1, (w - 1) * stride + 1
+            else:
+                out_h, out_w = h * stride, w * stride
+            args = (
+                io(port)[0], io(out_port)[1], port, out_port, in_addr,
+                out_addr, h, w, window, stride, out_h, out_w,
             )
-
-        if op is Opcode.NDACCUM:
-            size = o["size"]
-            port = o["port"]
-            src_addr, dst_addr = o["src_addr"], o["dst_addr"]
-            rd = self._reader(port)
-            wr = self._writer(port)
-
-            def accum() -> None:
-                wr(dst_addr, rd(src_addr, size), True)
-
-            def accum_batch(state: BatchState) -> None:
-                state.write(
-                    port, dst_addr, state.read(port, src_addr, size), True
-                )
-
-            return _Decoded(
-                instr, fn=accum, fn_batch=accum_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
+            cost = self._offload_cycles(out_h * out_w)
+        elif op is Opcode.NDACCUM:
+            src_addr, port, size, dst_addr = o
+            rd, wr = io(port)
+            fn, fn_batch = _accum, _accum_batch
+            args = (rd, wr, port, src_addr, dst_addr, size)
+            cost = self._offload_cycles(size)
+        elif op is Opcode.VECMUL:
+            in1_addr, in2_addr, port, size, out_addr = o
+            rd, wr = io(port)
+            fn, fn_batch = _vecmul, _vecmul_batch
+            args = (rd, wr, port, in1_addr, in2_addr, out_addr, size)
+            cost = self._offload_cycles(size)
+        elif op is Opcode.WUPDATE:
+            weight_addr, grad_addr, port, size, lr_num, lr_denom = o
+            rd, wr = io(port)
+            fn, fn_batch = _wupdate, _wupdate_batch
+            args = (rd, wr, port, weight_addr, grad_addr, size,
+                    lr_num / lr_denom)
+            cost = self._offload_cycles(size)
+        elif op in (Opcode.DMALOAD, Opcode.DMASTORE, Opcode.PREFETCH):
+            if op is Opcode.PREFETCH:
+                src_addr, dst_addr, dst_port, size = o
+                src_port, accum = EXTERNAL_PORT, False
+            else:
+                src_addr, src_port, dst_addr, dst_port, size, is_accum = o
+                accum = bool(is_accum)
+            fn, fn_batch = _dma, _dma_batch
+            args = (
+                io(src_port)[0], io(dst_port)[1], src_port, src_addr,
+                dst_port, dst_addr, size, accum,
+                self._flips if self._flips.rate else None,
+                self.telemetry if self._tel_on else None, tile,
             )
-
-        if op is Opcode.VECMUL:
-            size = o["size"]
-            port = o["port"]
-            in1_addr, in2_addr = o["in1_addr"], o["in2_addr"]
-            out_addr = o["out_addr"]
-            rd = self._reader(port)
-            wr = self._writer(port)
-
-            def vecmul() -> None:
-                wr(out_addr, rd(in1_addr, size) * rd(in2_addr, size), False)
-
-            def vecmul_batch(state: BatchState) -> None:
-                a = state.read(port, in1_addr, size)
-                b = state.read(port, in2_addr, size)
-                state.write(port, out_addr, a * b, False)
-
-            return _Decoded(
-                instr, fn=vecmul, fn_batch=vecmul_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
-            )
-
-        if op is Opcode.WUPDATE:
-            size = o["size"]
-            port = o["port"]
-            grad_addr, weight_addr = o["grad_addr"], o["weight_addr"]
-            lr = o["lr_num"] / o["lr_denom"]
-            rd = self._reader(port)
-            wr = self._writer(port)
-            zeros = np.zeros(size, dtype=np.float32)
-
-            def wupdate() -> None:
-                grad = rd(grad_addr, size).copy()
-                wr(weight_addr, -lr * grad, True)
-                wr(grad_addr, zeros, False)
-
-            def wupdate_batch(state: BatchState) -> None:
-                grad = state.read(port, grad_addr, size).copy()
-                state.write(port, weight_addr, -lr * grad, True)
-                state.write(port, grad_addr, np.zeros_like(grad), False)
-
-            return _Decoded(
-                instr, fn=wupdate, fn_batch=wupdate_batch, reads=reads,
-                writes=writes, cost=self._offload_cycles(size),
-            )
-
-        if op in (Opcode.DMALOAD, Opcode.DMASTORE):
-            size = o["size"]
-            src_port, dst_port = o["src_port"], o["dst_port"]
-            src_addr, dst_addr = o["src_addr"], o["dst_addr"]
-            accum = bool(o["is_accum"])
-            rd = self._reader(src_port)
-            wr = self._writer(dst_port)
             cost = self._dma_cycles(size, src_port, dst_port)
+        elif op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
+            fn, fn_batch, args, cost = _passbuff, _passbuff, (), 2
+        else:
+            raise SimulationError(f"engine cannot decode {op.value}")
+        return _Decoded(
+            instr, fn=fn, fn_batch=fn_batch, args=args, reads=reads,
+            writes=writes, cost=cost,
+        )
 
-            def dma() -> None:
-                data = rd(src_addr, size)
-                wr(dst_addr, self._dma_payload(data, tile_id), accum)
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
+    def _gate_quads(self, comp: CompTile, entry) -> bool:
+        """The fast-path twin of :meth:`_gate`, over an entry's
+        pre-bound ``(trackers, port, addr, count)`` quads.  Identical
+        tracker accounting: peek every access first (a blocked companion
+        must not consume counts), then consume.
 
-            def dma_batch(state: BatchState) -> None:
-                # make_batch refuses dma-bitflip faults, so the payload
-                # is a plain copy here.
-                data = state.read(src_port, src_addr, size)
-                state.write(
-                    dst_port, dst_addr,
-                    np.array(data, dtype=np.float32), accum,
-                )
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
-
-            return _Decoded(
-                instr, fn=dma, fn_batch=dma_batch, reads=reads,
-                writes=writes, cost=cost,
-            )
-
-        if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
-            noop = lambda: None  # noqa: E731 — handshake only
-            return _Decoded(
-                instr, fn=noop, fn_batch=lambda state: None,
-                reads=reads, writes=writes, cost=2,
-            )
-
-        if op is Opcode.PREFETCH:
-            size = o["size"]
-            src_addr = o["src_addr"]
-            dst_port, dst_addr = o["dst_port"], o["dst_addr"]
-            wr = self._writer(dst_port)
-            cost = self._dma_cycles(size, EXTERNAL_PORT, dst_port)
-
-            def prefetch() -> None:
-                data = self.external[src_addr : src_addr + size]
-                wr(dst_addr, self._dma_payload(data, tile_id), False)
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
-
-            def prefetch_batch(state: BatchState) -> None:
-                data = state.read(EXTERNAL_PORT, src_addr, size)
-                state.write(
-                    dst_port, dst_addr,
-                    np.array(data, dtype=np.float32), False,
-                )
-                if self._tel_on:
-                    self._observe_dma(tile_id, size)
-
-            return _Decoded(
-                instr, fn=prefetch, fn_batch=prefetch_batch, reads=reads,
-                writes=writes, cost=cost,
-            )
-
-        raise SimulationError(f"engine cannot decode {op.value}")
-
-    def _gate_quads(self, comp: CompTile, reads, writes) -> bool:
-        """The fast-path twin of :meth:`_gate`, over pre-bound
-        ``(mem_tile, port, addr, count)`` quads.  Identical tracker
-        accounting: peek every access first (a blocked companion must
-        not consume counts), then consume."""
-        for mem, port, addr, count in reads:
-            if mem is not None and mem.trackers.read_blocked(addr, count):
-                self._note_block(
-                    comp, "read", port, addr, count, TrackerPhase.UPDATING
-                )
+        A blocked verdict is memoized on the entry with the versions of
+        the tracker files it touches.  While none of them has changed
+        state, the verdict is replayed — the same block count on the
+        same file, the same diagnostic and telemetry — without polling
+        the trackers again."""
+        memo = entry.memo
+        if memo is not None:
+            files, versions, trackers, reason = memo
+            if versions == [f.version for f in files]:
+                if reason[0] == "read":
+                    trackers.blocked_reads += 1
+                else:
+                    trackers.blocked_writes += 1
+                self._note_block(comp, reason)
                 return False
-        for mem, port, addr, count in writes:
-            if mem is not None and mem.trackers.write_blocked(addr, count):
-                self._note_block(
-                    comp, "write", port, addr, count, TrackerPhase.READABLE
+        reads, writes = entry.reads, entry.writes
+        for trackers, port, addr, count in reads:
+            if trackers.read_blocked(addr, count):
+                return self._blocked(
+                    comp, entry, trackers,
+                    ("read", port, addr, count, _UPDATING),
                 )
-                return False
-        for mem, _port, addr, count in reads:
-            if mem is not None:
-                verdict = mem.trackers.check_read(addr, count)
-                assert verdict is AccessVerdict.ALLOW
-        for mem, _port, addr, count in writes:
-            if mem is not None:
-                verdict = mem.trackers.check_write(addr, count)
-                assert verdict is AccessVerdict.ALLOW
+        for trackers, port, addr, count in writes:
+            if trackers.write_blocked(addr, count):
+                return self._blocked(
+                    comp, entry, trackers,
+                    ("write", port, addr, count, _READABLE),
+                )
+        for trackers, _port, addr, count in reads:
+            verdict = trackers.check_read(addr, count)
+            assert verdict is AccessVerdict.ALLOW
+        for trackers, _port, addr, count in writes:
+            verdict = trackers.check_write(addr, count)
+            assert verdict is AccessVerdict.ALLOW
         return True
+
+    def _blocked(self, comp: CompTile, entry, trackers, reason) -> bool:
+        """Note and memoize a blocked gate verdict; returns False."""
+        files = (
+            _tracker_files(entry) if entry.memo is None else entry.memo[0]
+        )
+        entry.memo = (files, [f.version for f in files], trackers, reason)
+        self._note_block(comp, reason)
+        return False
 
     # ------------------------------------------------------------------
     def run(
@@ -1515,8 +1552,8 @@ class Engine:
         ]
         if not tiles:
             raise SimulationError("no programs loaded (or all filtered)")
-        self.rounds = 0
-        tel = self.telemetry
+        clock = self._clock
+        clock.rounds = 0
         tel_on = self._tel_on
         deadline = (
             time.monotonic() + self.wall_clock_limit
@@ -1527,15 +1564,24 @@ class Engine:
             raise SimulationError(
                 "batched execution requires the pre-decoded fast path"
             )
-        # Pre-decoded fast path: one flat op table per tile, indexed by
-        # pc in lockstep with the program (same list semantics).
-        work: List[Tuple[CompTile, Optional[List[_Decoded]]]] = [
-            (t, self._decode_program(t) if self.fast else None)
+        state = self._image if batch is None else batch
+        gate = self._gate_quads
+        # One flat op table per tile, indexed by pc in lockstep with the
+        # program (same list semantics).  The legacy interpreter
+        # (fast=False) is the table of all-fallback entries.
+        work: List[Tuple[CompTile, List[_Decoded]]] = [
+            (
+                t,
+                self._decode_program(t) if self.fast else [
+                    _Decoded(instr, fallback=True)
+                    for instr in t.program.instructions
+                ],
+            )
             for t in tiles
         ]
         while True:
-            self.rounds += 1
-            if self.rounds > self.max_rounds:
+            clock.rounds += 1
+            if clock.rounds > self.max_rounds:
                 raise SimulationTimeout(
                     f"engine exceeded {self.max_rounds} rounds; likely "
                     "livelock (watchdog cycle budget)\n"
@@ -1545,7 +1591,7 @@ class Engine:
             if deadline is not None and time.monotonic() > deadline:
                 raise SimulationTimeout(
                     f"engine watchdog: run exceeded wall-clock limit of "
-                    f"{self.wall_clock_limit:g}s after {self.rounds} "
+                    f"{self.wall_clock_limit:g}s after {clock.rounds} "
                     "rounds\n" + self._describe_blocked(tiles),
                     snapshot=self._snapshot(tiles),
                 )
@@ -1556,94 +1602,34 @@ class Engine:
                     continue
                 live = True
                 pc = tile.pc
-                tile.pc = pc + 1
-                start_cycle = tile.cycles
-                if entries is None:
-                    instr = tile.program[pc]
-                    cost = self._execute(tile, instr)
-                else:
-                    entry = entries[pc]
-                    if entry.is_super:
-                        # One fused run: gate the external quads
-                        # atomically, execute the whole-plane kernel,
-                        # force-expire the internal tracker handshakes
-                        # to their exact per-instruction end state, and
-                        # charge the pre-summed member costs.
-                        if self._gate_quads(
-                            tile, entry.reads, entry.writes
-                        ):
-                            if batch is not None:
-                                entry.fn_batch(batch)
-                            else:
-                                entry.fn()
-                            for trackers, addr, size in entry.expire:
-                                trackers.expire(addr, size)
-                            tile.pc = entry.end
-                            tile.blocked = False
-                            tile.cycles += entry.cost
-                            tile.instructions_executed += entry.count
-                            progress = True
-                            if tel_on:
-                                tel.span(
-                                    entry.label, "engine.instr",
-                                    ("engine", f"tile {tile.tile_id}"),
-                                    start_cycle, entry.cost,
-                                    round=self.rounds,
-                                    instructions=entry.count,
-                                    blocked_retries=tile.blocked_retries,
-                                )
-                                tel.observe(
-                                    "engine.instr_cycles",
-                                    f"superop.{entry.kind}", entry.cost,
-                                )
-                                if entry.kind == "load_run":
-                                    tel.count(
-                                        f"tile/{tile.tile_id}",
-                                        "dma_cycles", entry.cost,
-                                    )
-                                if tile.blocked_retries:
-                                    tel.observe(
-                                        "engine.block_cycles", "tracker",
-                                        float(tile.blocked_retries),
-                                    )
-                            tile.blocked_retries = 0
-                            if (
-                                self.trace_enabled
-                                and len(self.trace) < self.trace_limit
-                            ):
-                                self.trace.append((
-                                    self.rounds, tile.tile_id,
-                                    entry.label,
-                                ))
-                        else:
-                            tile.pc = pc  # retry the blocked superop
-                            tile.blocked = True
-                            tile.cycles += 1  # stall cycle
-                            tile.stalled_cycles += 1
-                            tile.blocked_retries += 1
-                        continue
-                    instr = entry.instr
-                    if entry.fallback:
-                        if batch is not None and not entry.batch_safe:
-                            raise SimulationError(
-                                f"{instr.opcode.value} needs the "
-                                "single-image interpreter (register-"
-                                "indirect or undecodable operands) and "
-                                "cannot run in a batched execution"
-                            )
-                        cost = self._execute(tile, instr)
-                    elif not self._gate_quads(
-                        tile, entry.reads, entry.writes
-                    ):
-                        cost = None
-                    elif batch is not None:
-                        entry.fn_batch(batch)
-                        cost = entry.cost
+                entry = entries[pc]
+                if entry.fallback:
+                    tile.pc = pc + 1  # branches are relative to it
+                    if batch is not None and not entry.batch_safe:
+                        raise SimulationError(
+                            f"{entry.instr.opcode.value} needs the "
+                            "single-image interpreter (register-"
+                            "indirect or undecodable operands) and "
+                            "cannot run in a batched execution"
+                        )
+                    cost = self._execute(tile, entry.instr)
+                    if cost is None:
+                        tile.pc = pc
+                elif gate(tile, entry):
+                    # A superop also force-expires its internal tracker
+                    # handshakes to their exact per-instruction end
+                    # state and jumps over its members.
+                    if batch is None:
+                        entry.fn(state, *entry.args)
                     else:
-                        entry.fn()
-                        cost = entry.cost
-                if cost is None:
-                    tile.pc -= 1  # retry the blocked instruction
+                        entry.fn_batch(state, *entry.args)
+                    for trackers, addr, size in entry.expire:
+                        trackers.expire(addr, size)
+                    tile.pc = pc + entry.count
+                    cost = entry.cost
+                else:
+                    cost = None
+                if cost is None:  # retry the blocked instruction
                     tile.blocked = True
                     tile.cycles += 1  # stall cycle
                     tile.stalled_cycles += 1
@@ -1651,37 +1637,16 @@ class Engine:
                     continue
                 tile.blocked = False
                 tile.cycles += cost
-                tile.instructions_executed += 1
+                tile.instructions_executed += entry.count
                 progress = True
                 if tel_on:
-                    tel.span(
-                        instr.opcode.value, "engine.instr",
-                        ("engine", f"tile {tile.tile_id}"),
-                        start_cycle, cost,
-                        round=self.rounds,
-                        blocked_retries=tile.blocked_retries,
-                    )
-                    # Distribution metrics: per-instruction-class cycle
-                    # costs, and tracker-block durations (each blocked
-                    # retry is one stall cycle, so the retry count at
-                    # the unblocking instruction is the block duration).
-                    tel.observe(
-                        "engine.instr_cycles", instr.opcode.value, cost
-                    )
-                    if instr.opcode in _DMA_OPCODES:
-                        tel.count(
-                            f"tile/{tile.tile_id}", "dma_cycles", cost
-                        )
-                    if tile.blocked_retries:
-                        tel.observe(
-                            "engine.block_cycles", "tracker",
-                            float(tile.blocked_retries),
-                        )
+                    self._observe_instr(tile, entry, cost)
                 tile.blocked_retries = 0
                 if self.trace_enabled and len(self.trace) < self.trace_limit:
-                    self.trace.append(
-                        (self.rounds, tile.tile_id, str(instr))
-                    )
+                    self.trace.append((
+                        clock.rounds, tile.tile_id,
+                        entry.label if entry.is_super else str(entry.instr),
+                    ))
             if not live:
                 break
             if not progress:
@@ -1698,7 +1663,7 @@ class Engine:
         return RunReport(
             cycles=self.machine.total_cycles,
             instructions=self.machine.total_instructions,
-            rounds=self.rounds,
+            rounds=clock.rounds,
             blocked_reads=sum(
                 t.trackers.blocked_reads for t in self.machine.mem_tiles
             ),
@@ -1707,6 +1672,41 @@ class Engine:
             ),
             busy_cycles=self.machine.total_busy_cycles,
         )
+
+    def _observe_instr(self, tile: CompTile, entry, cost: int) -> None:
+        """Telemetry of one entry that just executed: its span, the
+        per-class cycle cost distribution, DMA cycles, and the
+        tracker-block duration (each blocked retry is one stall cycle,
+        so the retry count at the unblocking instruction is the block
+        duration)."""
+        tel = self.telemetry
+        start_cycle = tile.cycles - cost
+        lane = ("engine", f"tile {tile.tile_id}")
+        if entry.is_super:
+            tel.span(
+                entry.label, "engine.instr", lane, start_cycle, cost,
+                round=self.rounds, instructions=entry.count,
+                blocked_retries=tile.blocked_retries,
+            )
+            tel.observe(
+                "engine.instr_cycles", f"superop.{entry.kind}", cost
+            )
+            dma = entry.kind == "load_run"
+        else:
+            name = entry.instr.opcode.value
+            tel.span(
+                name, "engine.instr", lane, start_cycle, cost,
+                round=self.rounds, blocked_retries=tile.blocked_retries,
+            )
+            tel.observe("engine.instr_cycles", name, cost)
+            dma = entry.instr.opcode in _DMA_OPCODES
+        if dma:
+            tel.count(f"tile/{tile.tile_id}", "dma_cycles", cost)
+        if tile.blocked_retries:
+            tel.observe(
+                "engine.block_cycles", "tracker",
+                float(tile.blocked_retries),
+            )
 
     # ------------------------------------------------------------------
     # Diagnostics and telemetry flushing
@@ -1759,17 +1759,6 @@ class Engine:
                 f"{phase} phase after {tile.blocked_retries} retries"
             )
         return "\n".join(lines)
-
-    def _observe_dma(self, tile_id: str, size: int) -> None:
-        """One DMA transfer's telemetry: the per-tile byte counter (as a
-        timestamped sample, so the Chrome trace plots a series) and the
-        transfer-size distribution metric."""
-        comp = self.machine.comp_tiles.get(tile_id)
-        self.telemetry.count(
-            f"tile/{tile_id}", "dma_bytes", 4 * size,
-            ts=None if comp is None else comp.cycles,
-        )
-        self.telemetry.observe("engine.dma", "transfer_bytes", 4 * size)
 
     def _flush_counters(self, tiles: List[CompTile]) -> None:
         """Snapshot per-tile cycle counters into the telemetry registry.

@@ -250,19 +250,127 @@ def _conv_out_extent_words(extent: int, kernel: int, stride: int, pad: int) -> i
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-def operand_accesses(op, o):
-    """Accesses from an already-resolved operand mapping (the engine
-    path for register-indirect instructions)."""
-    from repro.isa.instructions import Instruction as _I
+# Per-opcode access derivations over the raw operand tuple, unpacked by
+# index in OPERAND_NAMES order (no per-call operand dict).
+def _ndconv_accesses(o):
+    in_addr, in_port, in_size, kernel_addr, kernel_size, stride, pad, \
+        out_addr, out_port, _ = o
+    h, w = unpack_shape(in_size)
+    k, _ = unpack_shape(kernel_size)
+    out_h = _conv_out_extent_words(h, k, stride, pad)
+    out_w = _conv_out_extent_words(w, k, stride, pad)
+    return (
+        [(in_port, in_addr, h * w), (in_port, kernel_addr, k * k)],
+        [(out_port, out_addr, out_h * out_w)],
+    )
 
-    fake = _I(op, tuple(o[name] for name in _operand_names(op)))
-    return instruction_accesses(fake)
+
+def _matmul_accesses(o):
+    in1_addr, in1_port, in1_size, in2_addr, in2_port, in2_size, \
+        out_addr, out_port, _ = o
+    rows, cols = unpack_shape(in2_size)
+    _, n = unpack_shape(in1_size)
+    return (
+        [(in1_port, in1_addr, n), (in2_port, in2_addr, rows * cols)],
+        [(out_port, out_addr, rows)],
+    )
 
 
-def _operand_names(op):
-    from repro.isa.instructions import OPERAND_NAMES
+def _actfn_accesses(o):
+    _, in_addr, port, size, out_addr, out_port = o
+    return [(port, in_addr, size)], [(out_port, out_addr, size)]
 
-    return OPERAND_NAMES[op]
+
+def _actbp_accesses(o):
+    _, err_addr, port, size, out_addr, out_port = o
+    return (
+        [(port, err_addr, size), (port, err_addr + size, size)],
+        [(out_port, out_addr, size)],
+    )
+
+
+def _subsamp_accesses(o):
+    _, in_addr, port, in_size, window, stride, out_addr, out_port = o
+    h, w = unpack_shape(in_size)
+    out_h = (h - window) // stride + 1
+    out_w = (w - window) // stride + 1
+    return [(port, in_addr, h * w)], [(out_port, out_addr, out_h * out_w)]
+
+
+def _upsamp_accesses(o):
+    samp_type, in_addr, port, in_size, _, stride, out_addr, out_port = o
+    h, w = unpack_shape(in_size)
+    reads = [(port, in_addr, h * w)]
+    if samp_type == 2:  # zero-insert dilation
+        out = ((h - 1) * stride + 1) * ((w - 1) * stride + 1)
+    else:
+        out = h * stride * w * stride
+        if samp_type == 0:  # max routing reads the original
+            reads.append((port, in_addr + h * w, out))
+    return reads, [(out_port, out_addr, out)]
+
+
+def _accum_accesses(o):
+    src_addr, port, size, dst_addr = o
+    return [(port, src_addr, size)], [(port, dst_addr, size)]
+
+
+def _vecmul_accesses(o):
+    in1_addr, in2_addr, port, size, out_addr = o
+    return (
+        [(port, in1_addr, size), (port, in2_addr, size)],
+        [(port, out_addr, size)],
+    )
+
+
+def _wupdate_accesses(o):
+    weight_addr, grad_addr, port, size, _, _ = o
+    return [(port, grad_addr, size)], [(port, weight_addr, size)]
+
+
+def _dma_accesses(o):
+    src_addr, src_port, dst_addr, dst_port, size, _ = o
+    return [(src_port, src_addr, size)], [(dst_port, dst_addr, size)]
+
+
+def _prefetch_accesses(o):
+    _, dst_addr, dst_port, size = o
+    return [], [(dst_port, dst_addr, size)]
+
+
+_ACCESSES = {
+    Opcode.NDCONV: _ndconv_accesses,
+    Opcode.MATMUL: _matmul_accesses,
+    Opcode.NDACTFN: _actfn_accesses,
+    Opcode.NDACTBP: _actbp_accesses,
+    Opcode.NDSUBSAMP: _subsamp_accesses,
+    Opcode.NDUPSAMP: _upsamp_accesses,
+    Opcode.NDACCUM: _accum_accesses,
+    Opcode.VECMUL: _vecmul_accesses,
+    Opcode.WUPDATE: _wupdate_accesses,
+    Opcode.DMALOAD: _dma_accesses,
+    Opcode.DMASTORE: _dma_accesses,
+    Opcode.PREFETCH: _prefetch_accesses,
+}
+
+
+def operand_accesses(
+    op: Opcode, operands: Tuple[int, ...]
+) -> Tuple[List[Access], List[Access]]:
+    """The (reads, writes) of ``op`` over operand values in signature
+    order — an instruction's own operands, or the values the engine
+    resolved its register-indirect operands to.  Scalar/control/track
+    opcodes access nothing."""
+    for value in operands:
+        if value & REG_OPERAND_FLAG:
+            raise SimulationError(
+                f"{op.value} uses register-indirect operands; accesses "
+                "are only known at execution time"
+            )
+    derive = _ACCESSES.get(op)
+    if derive is None:
+        return [], []
+    return derive(operands)
 
 
 def instruction_accesses(
@@ -276,69 +384,4 @@ def instruction_accesses(
     pass, which is why the production code generator unrolls loops —
     the static analysis then sees every address.
     """
-    op = instr.opcode
-    o = instr.named_operands()
-    if has_reg_operands(instr):
-        raise SimulationError(
-            f"{op.value} uses register-indirect operands; accesses are "
-            "only known at execution time"
-        )
-    reads: List[Access] = []
-    writes: List[Access] = []
-
-    if op is Opcode.NDCONV:
-        h, w = unpack_shape(o["in_size"])
-        k, _ = unpack_shape(o["kernel_size"])
-        out_h = _conv_out_extent_words(h, k, o["stride"], o["pad"])
-        out_w = _conv_out_extent_words(w, k, o["stride"], o["pad"])
-        reads.append((o["in_port"], o["in_addr"], h * w))
-        reads.append((o["in_port"], o["kernel_addr"], k * k))
-        writes.append((o["out_port"], o["out_addr"], out_h * out_w))
-    elif op is Opcode.MATMUL:
-        rows, cols = unpack_shape(o["in2_size"])
-        _, n = unpack_shape(o["in1_size"])
-        reads.append((o["in1_port"], o["in1_addr"], n))
-        reads.append((o["in2_port"], o["in2_addr"], rows * cols))
-        writes.append((o["out_port"], o["out_addr"], rows))
-    elif op is Opcode.NDACTFN:
-        reads.append((o["port"], o["in_addr"], o["size"]))
-        writes.append((o["out_port"], o["out_addr"], o["size"]))
-    elif op is Opcode.NDACTBP:
-        reads.append((o["port"], o["err_addr"], o["size"]))
-        reads.append((o["port"], o["err_addr"] + o["size"], o["size"]))
-        writes.append((o["out_port"], o["out_addr"], o["size"]))
-    elif op is Opcode.NDSUBSAMP:
-        h, w = unpack_shape(o["in_size"])
-        out_h = (h - o["window"]) // o["stride"] + 1
-        out_w = (w - o["window"]) // o["stride"] + 1
-        reads.append((o["port"], o["in_addr"], h * w))
-        writes.append((o["out_port"], o["out_addr"], out_h * out_w))
-    elif op is Opcode.NDUPSAMP:
-        h, w = unpack_shape(o["in_size"])
-        stride = o["stride"]
-        reads.append((o["port"], o["in_addr"], h * w))
-        if o["samp_type"] == 2:  # zero-insert dilation
-            out = ((h - 1) * stride + 1) * ((w - 1) * stride + 1)
-        else:
-            out = h * stride * w * stride
-            if o["samp_type"] == 0:  # max routing reads the original
-                reads.append((o["port"], o["in_addr"] + h * w, out))
-        writes.append((o["out_port"], o["out_addr"], out))
-    elif op is Opcode.NDACCUM:
-        reads.append((o["port"], o["src_addr"], o["size"]))
-        writes.append((o["port"], o["dst_addr"], o["size"]))
-    elif op is Opcode.VECMUL:
-        reads.append((o["port"], o["in1_addr"], o["size"]))
-        reads.append((o["port"], o["in2_addr"], o["size"]))
-        writes.append((o["port"], o["out_addr"], o["size"]))
-    elif op is Opcode.WUPDATE:
-        reads.append((o["port"], o["grad_addr"], o["size"]))
-        writes.append((o["port"], o["weight_addr"], o["size"]))
-    elif op in (Opcode.DMALOAD, Opcode.DMASTORE):
-        reads.append((o["src_port"], o["src_addr"], o["size"]))
-        writes.append((o["dst_port"], o["dst_addr"], o["size"]))
-    elif op is Opcode.PREFETCH:
-        writes.append((o["dst_port"], o["dst_addr"], o["size"]))
-    return reads, writes
-
-
+    return operand_accesses(instr.opcode, instr.operands)

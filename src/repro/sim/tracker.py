@@ -99,6 +99,12 @@ class TrackerFile:
 
     ``capacity`` models the hardware counter budget; arming beyond it
     raises (the compiler must serialise reuse).
+
+    ``version`` counts state changes — an arm, a consuming check, a
+    force-expire, a reap that drops trackers — so a caller holding a
+    verdict from version *v* knows it still holds while ``version == v``
+    (the engine replays blocked verdicts this way instead of
+    re-polling).  Block statistics and telemetry do not bump it.
     """
 
     def __init__(self, capacity: int = 32) -> None:
@@ -109,6 +115,7 @@ class TrackerFile:
         self.blocked_reads = 0  # statistics
         self.blocked_writes = 0
         self.emit: Optional[TrackerEmit] = None  # telemetry hook
+        self.version = 0
 
     def __len__(self) -> int:
         self._reap()
@@ -119,9 +126,12 @@ class TrackerFile:
             for t in self._trackers:
                 if t.phase is TrackerPhase.EXPIRED:
                     self._emit_expire(t)
-        self._trackers = [
+        live = [
             t for t in self._trackers if t.phase is not TrackerPhase.EXPIRED
         ]
+        if len(live) != len(self._trackers):
+            self._trackers = live
+            self.version += 1
 
     def _emit_expire(self, tracker: RangeTracker) -> None:
         if not tracker.expire_emitted:
@@ -148,13 +158,16 @@ class TrackerFile:
             )
         tracker = RangeTracker(start, size, num_updates, num_reads)
         self._trackers.append(tracker)
+        self.version += 1
         if self.emit is not None:
             self.emit("arm", start, size, tracker.phase.value)
         return tracker
 
     def _matching(self, start: int, size: int) -> Optional[RangeTracker]:
+        end = start + size
         for tracker in self._trackers:
-            if tracker.overlaps(start, size):
+            # RangeTracker.overlaps, inlined: the engine's hot path.
+            if start < tracker.start + tracker.size and tracker.start < end:
                 return tracker
         return None
 
@@ -184,6 +197,7 @@ class TrackerFile:
         tracker = self._matching(start, size)
         if tracker is None:
             return AccessVerdict.ALLOW
+        self.version += 1  # a matched check may advance its counts
         verdict = tracker.try_write()
         if verdict is AccessVerdict.BLOCK:
             self.blocked_writes += 1
@@ -203,6 +217,7 @@ class TrackerFile:
         tracker = self._matching(start, size)
         if tracker is None:
             return AccessVerdict.ALLOW
+        self.version += 1  # a matched check may advance its counts
         verdict = tracker.try_read()
         if verdict is AccessVerdict.BLOCK:
             self.blocked_reads += 1
@@ -231,7 +246,7 @@ class TrackerFile:
             if tracker.overlaps(start, size):
                 tracker.updates_seen = tracker.num_updates
                 tracker.reads_seen = tracker.num_reads
-        self._reap()
+        self._reap()  # drops what was just expired, bumping the version
 
     def phase_of(self, start: int, size: int) -> Optional[TrackerPhase]:
         tracker = self._matching(start, size)

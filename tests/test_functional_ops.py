@@ -126,6 +126,32 @@ class TestIm2Col:
         rhs = (x * ops.col2im(y, x.shape, k, stride, pad)).sum()
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    @pytest.mark.parametrize("pad", [1, 2])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda x: x,
+            lambda x: x[:, ::-1, :],
+            np.asfortranarray,
+            lambda x: x.transpose(0, 2, 1),
+            lambda x: x[::2],
+        ],
+    )
+    def test_pad_spatial_is_np_pad(self, pad, layout):
+        """Same bits, dtype and memory order as ``np.pad`` (signed zeros
+        included), so im2col windows — and the products over them — are
+        unchanged."""
+        x = np.random.default_rng(3).normal(0, 1, (4, 5, 6)).astype(
+            np.float32
+        )
+        x[0, 0, 0] = -0.0
+        src = layout(x)
+        got = ops.pad_spatial(src, pad)
+        expected = np.pad(src, ((0, 0), (pad, pad), (pad, pad)))
+        assert got.dtype == expected.dtype
+        assert got.strides == expected.strides
+        assert got.tobytes(order="A") == expected.tobytes(order="A")
+
 
 class TestPooling:
     def test_max_pool_values(self):
