@@ -150,7 +150,7 @@ def write_validation_json(report, path: Union[str, Path]) -> Path:
     """Write a :class:`~repro.sim.validation.ValidationReport` as the
     ``BENCH_validate.json`` artifact: the full differential table
     (per-network cycles, ratios, tolerance bands, output errors), the
-    rank-agreement score, the gate verdict, and the fast-path speedup
+    rank-agreement score, the gate verdict, and the engine speedup
     measurement.  Sorted keys; only the timing fields vary across
     reruns."""
     path = Path(path)

@@ -87,12 +87,11 @@ class CompiledForward:
         return machine
 
     def run(
-        self, image: np.ndarray, fast: bool = True, fused: bool = True
+        self, image: np.ndarray, *, fused: bool = True
     ) -> Tuple[np.ndarray, RunReport]:
         """Execute the forward pass on one image; returns (output vector,
-        run statistics).  ``fast=False`` selects the legacy interpreter
-        (identical reports and outputs; kept for the equivalence tests).
-        ``fused=False`` disables superop execution on the fast path —
+        run statistics).  ``fused=False`` runs every instruction through
+        its decoded per-instruction kernel instead of the superops —
         outputs, instruction counts and busy cycles stay bit-identical
         to fused runs, but superops compress stall rounds, so makespan
         ``cycles``/``rounds``/blocked counts may differ (see
@@ -106,7 +105,7 @@ class CompiledForward:
                 home.first_feature : home.first_feature + home.feature_count
             ]
             tile.write(home.address, block, accumulate=False)
-        engine = Engine(machine, fast=fast, fused=fast and fused)
+        engine = Engine(machine, fused=fused)
         report = engine.run()
         out = np.concatenate([
             machine.mem_tile(
@@ -204,28 +203,23 @@ class CompiledForward:
             preloaded=self.preloaded_regions(), host_writes=host_writes,
         )
 
-    def runner(
-        self, fast: bool = True, fused: bool = True
-    ) -> "ForwardRunner":
+    def runner(self, *, fused: bool = True) -> "ForwardRunner":
         """A persistent-machine runner for streaming many images: the
         machine is built once, weights stay resident, and programs are
         rewound per image (the steady-state operation of Sec 3.2.3,
         minus the inter-image overlap)."""
-        return ForwardRunner(self, fast=fast, fused=fused)
+        return ForwardRunner(self, fused=fused)
 
 
 class ForwardRunner:
     """Streams images through one compiled forward pass."""
 
     def __init__(
-        self,
-        compiled: CompiledForward,
-        fast: bool = True,
-        fused: bool = True,
+        self, compiled: CompiledForward, fused: bool = True
     ) -> None:
         self.compiled = compiled
         self.machine = compiled.build_machine()
-        self.engine = Engine(self.machine, fast=fast, fused=fast and fused)
+        self.engine = Engine(self.machine, fused=fused)
         self.images_run = 0
 
     def __call__(self, image: np.ndarray) -> Tuple[np.ndarray, RunReport]:

@@ -11,7 +11,8 @@ Engine conventions (the compiler's code generator follows these):
 
 * Data-instruction operands are immediates — the data flow of a DNN is
   static, so the generator resolves every address at compile time (the
-  scalar/branch instructions still execute for handwritten programs).
+  scalar/branch instructions and register-indirect operands still
+  execute for handwritten looped programs).
 * ``port`` operands carry flattened MemHeavy tile ids
   (:meth:`Machine.mem_tile_id`); port ``EXTERNAL_PORT`` addresses the
   node's external memory.
@@ -51,7 +52,6 @@ from repro.sim.machine import (
     has_reg_operands,
     instruction_accesses,
     is_reg_operand,
-    operand_accesses,
     unpack_shape,
 )
 from repro.sim.tracker import AccessVerdict, TrackerPhase
@@ -121,21 +121,22 @@ class RunReport:
 class _Decoded:
     """One pre-decoded instruction slot of a tile's flat op table.
 
-    The fast path resolves everything static once per program: the gated
+    Decode resolves everything static once per program: the gated
     address quads ``(trackers, port, addr, count)`` of the tracked ports
     (external memory is never gated, so it has none), the cycle cost,
-    and one flat ``args`` tuple for a module-level kernel pair.
-    ``fn(state, *args)`` runs the exact numpy calls of the legacy
-    interpreter through the port readers/writers in ``args``;
-    ``fn_batch(state, *args)`` runs the same instruction on a
+    and one flat ``args`` tuple for a module-level kernel pair — the
+    engine's only semantics of each data opcode.  ``fn(state, *args)``
+    runs the instruction on one image through the port readers/writers
+    in ``args``; ``fn_batch(state, *args)`` runs it on a
     :class:`BatchState`.  The entry holds no closure and no reference to
     the engine.  ``memo`` backs the gate's blocked-verdict replay
-    (:meth:`Engine._gate_quads`).
+    (:meth:`Engine._gate_quads`).  An instruction whose operands cannot
+    execute decodes to the :func:`_raise` kernel, so its error surfaces
+    when a tile issues it, never at decode.
 
-    Instructions the decoder cannot resolve statically — scalar/control,
-    register-indirect operands, or anything whose decode raises — keep
-    ``fallback=True`` and run through :meth:`Engine._execute` so error
-    timing and semantics are unchanged.
+    What only issue time can resolve — scalar/control, register-indirect
+    operands, tracker arming on a port that must raise — keeps
+    ``fallback=True`` and issues through :meth:`Engine._execute`.
     """
 
     is_super = False
@@ -143,15 +144,14 @@ class _Decoded:
     expire = ()
 
     __slots__ = (
-        "instr", "fallback", "batch_safe", "fn", "fn_batch", "args",
-        "reads", "writes", "cost", "memo",
+        "instr", "fallback", "fn", "fn_batch", "args", "reads", "writes",
+        "cost", "memo",
     )
 
     def __init__(
         self,
         instr: Instruction,
         fallback: bool = False,
-        batch_safe: bool = True,
         fn=None,
         fn_batch=None,
         args=(),
@@ -161,7 +161,6 @@ class _Decoded:
     ) -> None:
         self.instr = instr
         self.fallback = fallback
-        self.batch_safe = batch_safe
         self.fn = fn
         self.fn_batch = fn_batch
         self.args = args
@@ -236,8 +235,7 @@ class _DmaFlips:
     """Seeded dma-bitflip fault injection (a
     :class:`repro.faults.model.FaultMask`, duck-typed — ``dma_flip_rate``
     and ``spec.seed`` suffice).  Flips are drawn from a named RNG stream
-    so a given seed corrupts the same transfers in every run; the legacy
-    interpreter and the decoded DMA kernels share one stream."""
+    so a given seed corrupts the same transfers in every run."""
 
     __slots__ = ("rate", "rng", "count", "telemetry", "clock")
 
@@ -299,10 +297,16 @@ def _external_io(ext: np.ndarray):
 # and a batched body over one shared flat ``args`` tuple; both take the
 # run's state first (the single-image bodies ignore it and move words
 # through the pre-bound port readers ``rd`` and writers ``wr``).  The
-# single-image bodies replay the legacy interpreter's numpy calls
-# verbatim — regression tests pin bit-identical outputs.
+# frozen engine counts and answers in the tests pin their outputs bit
+# for bit.
 # ----------------------------------------------------------------------
 _ZERO_BIAS = np.zeros(1, dtype=np.float32)
+
+
+def _raise(state, error, args) -> None:
+    """An instruction whose operands cannot execute: raise its decode
+    error (a fresh ``error(*args)``) when the tile issues it."""
+    raise error(*args)
 
 
 def _conv(state, rd, wr, in_port, out_port, in_addr, kernel_addr,
@@ -682,25 +686,19 @@ class Engine:
         telemetry: "Telemetry | NullTelemetry | None" = None,
         wall_clock_limit: Optional[float] = None,
         faults=None,
-        fast: bool = True,
         fused: bool = False,
     ) -> None:
         self.machine = machine
         self.external = np.zeros(external_words, dtype=np.float32)
         self.max_rounds = max_rounds
-        #: Pre-decoded fast path: decode each tile's program once into a
-        #: flat op table instead of re-parsing instruction dicts every
-        #: round.  ``fast=False`` keeps the legacy interpreter — reports
-        #: and outputs are identical either way (pinned by tests).
-        self.fast = fast
         #: Superop execution: honour the compiler's fusion plans
         #: (``Program.superops``) by executing whole fused runs per
-        #: dispatch, single-image and batched alike.  Needs the fast
-        #: path; silently ignored under dma-bitflip faults
-        #: (per-transfer semantics).  Outputs, ``instructions`` and
-        #: ``busy_cycles`` stay bit-identical to per-instruction
-        #: execution.
-        self.fused = fused and fast
+        #: dispatch, single-image and batched alike.  Silently ignored
+        #: under dma-bitflip faults (per-transfer semantics).  Outputs,
+        #: ``instructions`` and ``busy_cycles`` stay bit-identical to
+        #: per-instruction execution.
+        self.fused = fused
+        #: Each tile's program decoded once into a flat op table.
         self._decoded: Dict[str, List[_Decoded]] = {}
         #: Per-port (reader, writer) pairs, bound once and shared by
         #: every decoded entry touching the port.
@@ -763,76 +761,12 @@ class Engine:
         tile.write(addr, data, accumulate=False)
 
     # ------------------------------------------------------------------
-    # Memory access helpers (tracker-gated)
+    # Ports and tracker blocks
     # ------------------------------------------------------------------
     def _tile(self, port: int) -> Optional[MemTile]:
         if port == EXTERNAL_PORT:
             return None
         return self.machine.mem_tile(port)
-
-    def _read_words(self, port: int, addr: int, count: int) -> np.ndarray:
-        tile = self._tile(port)
-        if tile is None:
-            return self.external[addr : addr + count]
-        return tile.read(addr, count)
-
-    def _write_words(
-        self, port: int, addr: int, data: np.ndarray, accumulate: bool
-    ) -> None:
-        tile = self._tile(port)
-        if tile is None:
-            flat = data.reshape(-1).astype(np.float32)
-            if accumulate:
-                self.external[addr : addr + flat.size] += flat
-            else:
-                self.external[addr : addr + flat.size] = flat
-            return
-        tile.write(addr, data, accumulate)
-
-    def _gate(
-        self,
-        comp: CompTile,
-        reads: List[Tuple[int, int, int]],
-        writes: List[Tuple[int, int, int]],
-    ) -> bool:
-        """Check every (port, addr, count) access; consume tracker counts
-        only if ALL are allowed.  Returns True when the instruction may
-        proceed.  A refusal records *why* ``comp`` is blocked (the
-        obstructing port, address range and tracker phase) for the
-        deadlock diagnostic and, when enabled, telemetry."""
-        # Peek first: a blocked companion access must not consume counts.
-        for port, addr, count in reads:
-            tile = self._tile(port)
-            if tile and tile.trackers.phase_of(addr, count) is (
-                TrackerPhase.UPDATING
-            ):
-                tile.trackers.blocked_reads += 1
-                self._note_block(
-                    comp, ("read", port, addr, count, _UPDATING)
-                )
-                return False
-        for port, addr, count in writes:
-            tile = self._tile(port)
-            if tile and tile.trackers.phase_of(addr, count) is (
-                TrackerPhase.READABLE
-            ):
-                tile.trackers.blocked_writes += 1
-                self._note_block(
-                    comp, ("write", port, addr, count, _READABLE)
-                )
-                return False
-        # All clear: consume.
-        for port, addr, count in reads:
-            tile = self._tile(port)
-            if tile:
-                verdict = tile.trackers.check_read(addr, count)
-                assert verdict is AccessVerdict.ALLOW
-        for port, addr, count in writes:
-            tile = self._tile(port)
-            if tile:
-                verdict = tile.trackers.check_write(addr, count)
-                assert verdict is AccessVerdict.ALLOW
-        return True
 
     def _note_block(
         self, comp: CompTile, reason: Tuple[str, int, int, int, str]
@@ -874,9 +808,15 @@ class Engine:
         return _SETUP_DMA + math.ceil(4 * words / bpc) * hops
 
     # ------------------------------------------------------------------
-    # Instruction execution: returns cycle cost, or None when blocked
+    # Issue-time execution: returns cycle cost, or None when blocked
     # ------------------------------------------------------------------
     def _execute(self, tile: CompTile, instr: Instruction) -> Optional[int]:
+        """Issue one instruction the decoder left to issue time: the
+        scalar register/branch/halt core, tracker arming that must raise
+        when issued, and register-indirect operands, which resolve
+        against the tile's registers here.  A data instruction then runs
+        the decoded kernel of its resolved form — the same gate and
+        kernel an unrolled program's instruction runs."""
         op = instr.opcode
         values = instr.operands
         if instr.group is not InstrGroup.SCALAR:
@@ -939,185 +879,21 @@ class Engine:
             )
             return 1
 
-        # --- data instructions: gate via the shared access analysis
-        # (the same facts the tracker calibrator counts), evaluated on
-        # the resolved operands ------------------------------------------
-        reads, writes = operand_accesses(op, values)
-        if (reads or writes) and not self._gate(tile, reads, writes):
+        # --- data instructions ----------------------------------------
+        if self._batch is not None:
+            raise SimulationError(
+                f"{op.value} resolves its operands per issue on the "
+                "single-image path (register-indirect operands) and "
+                "cannot run in a batched execution"
+            )
+        entry = self._decode_data(Instruction(op, values), tile)
+        if not self._gate_quads(tile, entry):
             return None
-
-        # --- coarse-grained data ----------------------------------------
-        if op is Opcode.NDCONV:
-            h, w = unpack_shape(o["in_size"])
-            k, _ = unpack_shape(o["kernel_size"])
-            stride, pad = o["stride"], o["pad"]
-            out_h = (h + 2 * pad - k) // stride + 1
-            out_w = (w + 2 * pad - k) // stride + 1
-            x = self._read_words(o["in_port"], o["in_addr"], h * w)
-            kern = self._read_words(o["in_port"], o["kernel_addr"], k * k)
-            out = ops.conv2d_forward(
-                x.reshape(1, h, w),
-                kern.reshape(1, 1, k, k),
-                np.zeros(1, dtype=np.float32),
-                stride,
-                pad,
-            )
-            self._write_words(
-                o["out_port"], o["out_addr"], out, bool(o["is_accum"])
-            )
-            return self._conv_cycles(out_h * out_w, k)
-
-        if op is Opcode.MATMUL:
-            rows, cols = unpack_shape(o["in2_size"])
-            _, n = unpack_shape(o["in1_size"])
-            if n != cols:
-                raise SimulationError(
-                    f"MATMUL shape mismatch: vector {n} vs matrix "
-                    f"{rows}x{cols}"
-                )
-            vec = self._read_words(o["in1_port"], o["in1_addr"], n)
-            mat = self._read_words(
-                o["in2_port"], o["in2_addr"], rows * cols
-            ).reshape(rows, cols)
-            self._write_words(
-                o["out_port"], o["out_addr"], mat @ vec, bool(o["is_accum"])
-            )
-            return self._matmul_cycles(rows * cols)
-
-        # --- MemHeavy offload -------------------------------------------
-        if op is Opcode.NDACTFN:
-            size = o["size"]
-            data = self._read_words(o["port"], o["in_addr"], size)
-            fn = _CODE_TO_ACT[o["fn_type"]]
-            self._write_words(
-                o["out_port"], o["out_addr"], ops.activate(data.copy(), fn),
-                False,
-            )
-            return self._offload_cycles(size)
-
-        if op is Opcode.NDACTBP:
-            # Mask a back-propagated error with the activation derivative:
-            # reads the raw error at err_addr and the *activated outputs*
-            # at act_addr (packed into the high bits of fn_type's
-            # companion operand would not fit Fig 8, so the convention is
-            # act values live at err_addr + size), writing the masked
-            # error to out_addr.
-            size = o["size"]
-            act_addr = o["err_addr"] + size
-            err = self._read_words(o["port"], o["err_addr"], size)
-            act = self._read_words(o["port"], act_addr, size)
-            fn = _CODE_TO_ACT[o["fn_type"]]
-            masked = ops.activate_backward(err.copy(), act, fn)
-            self._write_words(o["out_port"], o["out_addr"], masked, False)
-            return self._offload_cycles(size)
-
-        if op is Opcode.NDSUBSAMP:
-            h, w = unpack_shape(o["in_size"])
-            window, stride = o["window"], o["stride"]
-            out_h = (h - window) // stride + 1
-            out_w = (w - window) // stride + 1
-            x = self._read_words(o["port"], o["in_addr"], h * w)
-            mode = _CODE_TO_SAMP[o["samp_type"]]
-            out, _ = ops.pool_forward(
-                x.reshape(1, h, w), window, stride, 0, mode
-            )
-            self._write_words(o["out_port"], o["out_addr"], out, False)
-            return self._offload_cycles(h * w)
-
-        if op is Opcode.NDUPSAMP:
-            h, w = unpack_shape(o["in_size"])  # error extent (small side)
-            window, stride = o["window"], o["stride"]
-            mode = o["samp_type"]
-            err = self._read_words(
-                o["port"], o["in_addr"], h * w
-            ).reshape(1, h, w)
-            if mode == UPSAMP_ZERO_INSERT:
-                out_h = (h - 1) * stride + 1
-                out_w = (w - 1) * stride + 1
-                up = np.zeros((1, out_h, out_w), dtype=np.float32)
-                up[0, ::stride, ::stride] = err[0]
-            elif mode == SAMP_CODES[PoolMode.MAX]:
-                # The original pooled feature sits next to the error
-                # (NDACTBP-style adjacency): recompute the argmax and
-                # route each error to its window's maximum.
-                out_h, out_w = h * stride, w * stride
-                original = self._read_words(
-                    o["port"], o["in_addr"] + h * w, out_h * out_w
-                ).reshape(1, out_h, out_w)
-                _, argmax = ops.pool_forward(
-                    original, window, stride, 0, PoolMode.MAX
-                )
-                up = ops.pool_backward(
-                    err.copy(), (1, out_h, out_w), window, stride, 0,
-                    PoolMode.MAX, argmax,
-                )
-            else:  # AVG spread
-                out_h, out_w = h * stride, w * stride
-                up = ops.pool_backward(
-                    err.copy(), (1, out_h, out_w), window, stride, 0,
-                    PoolMode.AVG, np.empty(0),
-                )
-            self._write_words(o["out_port"], o["out_addr"], up, False)
-            return self._offload_cycles(out_h * out_w)
-
-        if op is Opcode.NDACCUM:
-            size = o["size"]
-            src = self._read_words(o["port"], o["src_addr"], size)
-            self._write_words(o["port"], o["dst_addr"], src, True)
-            return self._offload_cycles(size)
-
-        if op is Opcode.VECMUL:
-            size = o["size"]
-            a = self._read_words(o["port"], o["in1_addr"], size)
-            b = self._read_words(o["port"], o["in2_addr"], size)
-            self._write_words(o["port"], o["out_addr"], a * b, False)
-            return self._offload_cycles(size)
-
-        if op is Opcode.WUPDATE:
-            # Apply-and-consume: the gradient region is cleared after the
-            # update so the next iteration's WG accumulation starts fresh.
-            size = o["size"]
-            grad = self._read_words(o["port"], o["grad_addr"], size).copy()
-            lr = o["lr_num"] / o["lr_denom"]
-            self._write_words(o["port"], o["weight_addr"], -lr * grad, True)
-            self._write_words(
-                o["port"], o["grad_addr"], np.zeros(size, np.float32), False
-            )
-            return self._offload_cycles(size)
-
-        # --- data transfer ----------------------------------------------
-        if op in (Opcode.DMALOAD, Opcode.DMASTORE):
-            size = o["size"]
-            data = self._read_words(o["src_port"], o["src_addr"], size)
-            self._write_words(
-                o["dst_port"], o["dst_addr"],
-                self._flips.payload(data, tile.tile_id),
-                bool(o["is_accum"]),
-            )
-            if self._tel_on:
-                _observe_dma(self.telemetry, tile, size)
-            return self._dma_cycles(size, o["src_port"], o["dst_port"])
-
-        if op in (Opcode.PASSBUFF_RD, Opcode.PASSBUFF_WR):
-            # Streaming FIFO setup: data moves with the consuming compute
-            # instruction; only the handshake costs cycles here.
-            return 2
-
-        if op is Opcode.PREFETCH:
-            size = o["size"]
-            data = self.external[o["src_addr"] : o["src_addr"] + size]
-            self._write_words(
-                o["dst_port"], o["dst_addr"],
-                self._flips.payload(data, tile.tile_id), False,
-            )
-            if self._tel_on:
-                _observe_dma(self.telemetry, tile, size)
-            return self._dma_cycles(size, EXTERNAL_PORT, o["dst_port"])
-
-        raise SimulationError(f"engine cannot execute {op.value}")
+        entry.fn(self._image, *entry.args)
+        return entry.cost
 
     # ------------------------------------------------------------------
-    # Pre-decoded fast path
+    # Decoded op tables
     # ------------------------------------------------------------------
     def make_batch(self, batch: int) -> BatchState:
         """Prepare batched multi-image execution: the next :meth:`run`
@@ -1128,11 +904,6 @@ class Engine:
         :class:`BatchState` — write per-image inputs into it before the
         run and read per-image outputs after, then call
         :meth:`end_batch`."""
-        if not self.fast:
-            raise SimulationError(
-                "batched execution requires the pre-decoded fast path "
-                "(fast=True)"
-            )
         if self._flips.rate:
             raise SimulationError(
                 "batched execution is incompatible with dma-bitflip "
@@ -1203,9 +974,7 @@ class Engine:
                     return None
                 entries[sup.start] = self._build_super(sup, instrs, tile)
                 for pc in range(sup.start + 1, sup.end):
-                    entries[pc] = _Decoded(
-                        instrs[pc], fallback=True, batch_safe=False
-                    )
+                    entries[pc] = _Decoded(instrs[pc], fallback=True)
         except (SimulationError, KeyError, ZeroDivisionError):
             return None
         for pc in range(n):
@@ -1293,8 +1062,8 @@ class Engine:
         )
 
     def _note_fallback(self, instr: Instruction, reason: str) -> None:
-        """Count one decode→interpreter fallback, keyed by opcode and
-        the reason the fast path refused the instruction."""
+        """Count one instruction decode leaves to issue time
+        (:meth:`_execute`), keyed by opcode and the reason."""
         if self._tel_on:
             self.telemetry.count(
                 "engine.fallback", f"{instr.opcode.value}:{reason}"
@@ -1304,17 +1073,14 @@ class Engine:
         group = instr.group
         if group is InstrGroup.SCALAR:
             # Register/branch/halt: cheap already, and inherently
-            # dynamic — always interpreted.  Touches no scratchpad
-            # words, so it is safe under batched execution too.
+            # dynamic.  Touches no scratchpad words, so it is safe under
+            # batched execution too.
             self._note_fallback(instr, "scalar-control")
-            return _Decoded(instr, fallback=True, batch_safe=True)
+            return _Decoded(instr, fallback=True)
         if has_reg_operands(instr):
             # Fig 13-style R-operands resolve at issue time only.
             self._note_fallback(instr, "register-indirect")
-            return _Decoded(
-                instr, fallback=True,
-                batch_safe=group is InstrGroup.TRACK,
-            )
+            return _Decoded(instr, fallback=True)
         if group is InstrGroup.TRACK:
             addr, port, size, num_updates, num_reads = instr.operands[:5]
             if instr.opcode is Opcode.DMA_MEMTRACK:
@@ -1322,13 +1088,13 @@ class Engine:
             if port == EXTERNAL_PORT:
                 # Arming external memory raises at execution time.
                 self._note_fallback(instr, "external-port")
-                return _Decoded(instr, fallback=True, batch_safe=True)
+                return _Decoded(instr, fallback=True)
             try:
                 trackers = self.machine.mem_tile(port).trackers
             except SimulationError:
-                # Out-of-mesh port: raise at execution, like _execute.
+                # Out-of-mesh port: raises when issued, in _execute.
                 self._note_fallback(instr, "out-of-mesh-port")
-                return _Decoded(instr, fallback=True, batch_safe=True)
+                return _Decoded(instr, fallback=True)
             return _Decoded(
                 instr, fn=_arm, fn_batch=_arm,
                 args=(trackers, addr, size, num_updates, num_reads), cost=1,
@@ -1336,16 +1102,16 @@ class Engine:
         try:
             return self._decode_data(instr, tile)
         except (SimulationError, KeyError, ZeroDivisionError) as exc:
-            # The decode failures the legacy interpreter would raise at
-            # *execution* time — shape mismatches and out-of-mesh ports
-            # (SimulationError), bad activation/sampling codes
-            # (KeyError), a zero WUPDATE lr denominator — fall back so
-            # error timing and semantics are unchanged.  Anything else
-            # is a genuine engine bug and surfaces here, at decode.
-            self._note_fallback(
-                instr, f"decode-error:{type(exc).__name__}"
+            # Operands that cannot execute — shape mismatches and
+            # out-of-mesh ports (SimulationError), bad activation or
+            # sampling codes (KeyError), a zero WUPDATE lr denominator —
+            # raise when a tile issues the instruction, so a program
+            # that never reaches it still runs.  Anything else is a
+            # genuine engine bug and surfaces here, at decode.
+            return _Decoded(
+                instr, fn=_raise, fn_batch=_raise,
+                args=(type(exc), exc.args),
             )
-            return _Decoded(instr, fallback=True, batch_safe=False)
 
     def _decode_data(self, instr: Instruction, tile: CompTile) -> _Decoded:
         """Decode one data instruction into a :class:`_Decoded` entry:
@@ -1379,9 +1145,10 @@ class Engine:
             rows, cols = unpack_shape(in2_size)
             _, n = unpack_shape(in1_size)
             if n != cols:
-                # Raise at execution time via the fallback path, after
-                # gating — identical to the legacy interpreter.
-                raise SimulationError("MATMUL shape mismatch")
+                raise SimulationError(
+                    f"MATMUL shape mismatch: vector {n} vs matrix "
+                    f"{rows}x{cols}"
+                )
             fn, fn_batch = _matmul, _matmul_batch
             args = (
                 io(in1_port)[0], io(in2_port)[0], io(out_port)[1],
@@ -1476,10 +1243,12 @@ class Engine:
         )
 
     def _gate_quads(self, comp: CompTile, entry) -> bool:
-        """The fast-path twin of :meth:`_gate`, over an entry's
-        pre-bound ``(trackers, port, addr, count)`` quads.  Identical
-        tracker accounting: peek every access first (a blocked companion
-        must not consume counts), then consume.
+        """Check an entry's pre-bound ``(trackers, port, addr, count)``
+        quads; consume tracker counts only if ALL are allowed.  Peek
+        every access first (a blocked companion must not consume
+        counts), then consume.  A refusal records *why* ``comp`` is
+        blocked (the obstructing port, address range and tracker phase)
+        for the deadlock diagnostic and, when enabled, telemetry.
 
         A blocked verdict is memoized on the entry with the versions of
         the tracker files it touches.  While none of them has changed
@@ -1560,24 +1329,12 @@ class Engine:
             if self.wall_clock_limit is not None else None
         )
         batch = self._batch
-        if batch is not None and not self.fast:
-            raise SimulationError(
-                "batched execution requires the pre-decoded fast path"
-            )
         state = self._image if batch is None else batch
         gate = self._gate_quads
         # One flat op table per tile, indexed by pc in lockstep with the
-        # program (same list semantics).  The legacy interpreter
-        # (fast=False) is the table of all-fallback entries.
+        # program (same list semantics).
         work: List[Tuple[CompTile, List[_Decoded]]] = [
-            (
-                t,
-                self._decode_program(t) if self.fast else [
-                    _Decoded(instr, fallback=True)
-                    for instr in t.program.instructions
-                ],
-            )
-            for t in tiles
+            (t, self._decode_program(t)) for t in tiles
         ]
         while True:
             clock.rounds += 1
@@ -1605,13 +1362,6 @@ class Engine:
                 entry = entries[pc]
                 if entry.fallback:
                     tile.pc = pc + 1  # branches are relative to it
-                    if batch is not None and not entry.batch_safe:
-                        raise SimulationError(
-                            f"{entry.instr.opcode.value} needs the "
-                            "single-image interpreter (register-"
-                            "indirect or undecodable operands) and "
-                            "cannot run in a batched execution"
-                        )
                     cost = self._execute(tile, entry.instr)
                     if cost is None:
                         tile.pc = pc

@@ -354,25 +354,6 @@ _ACCESSES = {
 }
 
 
-def operand_accesses(
-    op: Opcode, operands: Tuple[int, ...]
-) -> Tuple[List[Access], List[Access]]:
-    """The (reads, writes) of ``op`` over operand values in signature
-    order — an instruction's own operands, or the values the engine
-    resolved its register-indirect operands to.  Scalar/control/track
-    opcodes access nothing."""
-    for value in operands:
-        if value & REG_OPERAND_FLAG:
-            raise SimulationError(
-                f"{op.value} uses register-indirect operands; accesses "
-                "are only known at execution time"
-            )
-    derive = _ACCESSES.get(op)
-    if derive is None:
-        return [], []
-    return derive(operands)
-
-
 def instruction_accesses(
     instr: Instruction,
 ) -> Tuple[List[Access], List[Access]]:
@@ -382,6 +363,16 @@ def instruction_accesses(
     Register-indirect operands cannot be resolved statically: programs
     using them (hand-written looped templates) bypass the calibration
     pass, which is why the production code generator unrolls loops —
-    the static analysis then sees every address.
+    the static analysis then sees every address.  The engine gates such
+    an instruction on its register-resolved form, at issue.
     """
-    return operand_accesses(instr.opcode, instr.operands)
+    op = instr.opcode
+    if has_reg_operands(instr):
+        raise SimulationError(
+            f"{op.value} uses register-indirect operands; accesses are "
+            "only known at execution time"
+        )
+    derive = _ACCESSES.get(op)
+    if derive is None:
+        return [], []
+    return derive(instr.operands)

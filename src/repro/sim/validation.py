@@ -65,7 +65,7 @@ MIN_RANK_AGREEMENT = 0.8
 #: coarse op) swamp the streaming estimate, so its band is wide.
 OVERHEAD_CYCLE_FLOOR = 100.0
 
-#: Images per minibatch for the fast-path speedup measurement.
+#: Images per minibatch for the engine speedup measurement.
 DEFAULT_SPEEDUP_BATCH = 16
 
 
@@ -280,35 +280,21 @@ def _sign(delta: float) -> int:
 @dataclass(frozen=True)
 class SpeedupResult:
     """Wall-clock comparison of the engine's execution paths on one
-    network (per-image seconds; ``fused_seconds`` is the fast path
-    with superop fusion engaged; ``batch_seconds`` amortises one fused
+    network (per-image seconds; ``fast_seconds`` is the unfused
+    per-instruction path, ``fused_seconds`` the same with superop
+    fusion engaged; ``batch_seconds`` amortises one fused
     ``run_batch`` over its minibatch)."""
 
     network: str
     batch: int
-    legacy_seconds: float
     fast_seconds: float
     batch_seconds: float
     fused_seconds: float = 0.0
 
     @property
-    def fast_speedup(self) -> float:
-        return (
-            self.legacy_seconds / self.fast_seconds
-            if self.fast_seconds > 0 else float("inf")
-        )
-
-    @property
-    def batch_speedup(self) -> float:
-        return (
-            self.legacy_seconds / self.batch_seconds
-            if self.batch_seconds > 0 else float("inf")
-        )
-
-    @property
     def fused_speedup(self) -> float:
-        """Fused fast path over the unfused fast path (the superop
-        win on top of pre-decoding)."""
+        """Fused over the unfused per-instruction path (the superop
+        win)."""
         return (
             self.fast_seconds / self.fused_seconds
             if self.fused_seconds > 0 else float("inf")
@@ -325,14 +311,11 @@ class SpeedupResult:
 
     def describe(self) -> str:
         return (
-            f"{self.network}: legacy {self.legacy_seconds * 1e3:.1f} "
-            f"ms/image, fast {self.fast_seconds * 1e3:.1f} ms "
-            f"({self.fast_speedup:.1f}x), fused "
-            f"{self.fused_seconds * 1e3:.1f} ms "
-            f"({self.fused_speedup:.1f}x over fast), batched "
+            f"{self.network}: unfused {self.fast_seconds * 1e3:.1f} "
+            f"ms/image, fused {self.fused_seconds * 1e3:.1f} ms "
+            f"({self.fused_speedup:.1f}x over unfused), batched "
             f"x{self.batch} {self.batch_seconds * 1e3:.1f} ms/image "
-            f"({self.batch_speedup:.1f}x, "
-            f"{self.batch_over_fused:.1f}x over fused)"
+            f"({self.batch_over_fused:.1f}x over fused)"
         )
 
 
@@ -343,10 +326,9 @@ def measure_speedup(
     batch: int = DEFAULT_SPEEDUP_BATCH,
     repeats: int = 2,
 ) -> SpeedupResult:
-    """Time the legacy interpreter against the pre-decoded fast path,
-    the superop-fused fast path, and fused batched execution on
-    ``net`` (best of ``repeats`` for each path, to damp scheduler
-    noise)."""
+    """Time the unfused per-instruction path against the superop-fused
+    path and fused batched execution on ``net`` (best of ``repeats``
+    for each path, to damp scheduler noise)."""
     _check_batch(batch)
     model = ReferenceModel(net, seed=seed)
     compiled = compile_dag_forward(net, model, rows=rows)
@@ -358,13 +340,12 @@ def measure_speedup(
     def best(fn) -> float:
         return min(_timed(fn) for _ in range(max(1, repeats)))
 
-    legacy = best(lambda: compiled.run(image, fast=False))
-    fast = best(lambda: compiled.run(image, fast=True, fused=False))
-    fused = best(lambda: compiled.run(image, fast=True, fused=True))
+    fast = best(lambda: compiled.run(image, fused=False))
+    fused = best(lambda: compiled.run(image, fused=True))
     batched = best(lambda: compiled.run_batch(images)) / batch
     return SpeedupResult(
-        network=net.name, batch=batch, legacy_seconds=legacy,
-        fast_seconds=fast, batch_seconds=batched, fused_seconds=fused,
+        network=net.name, batch=batch, fast_seconds=fast,
+        batch_seconds=batched, fused_seconds=fused,
     )
 
 
@@ -478,13 +459,10 @@ class ValidationReport:
                 None if self.speedup is None else {
                     "network": self.speedup.network,
                     "batch": self.speedup.batch,
-                    "legacy_seconds": self.speedup.legacy_seconds,
                     "fast_seconds": self.speedup.fast_seconds,
                     "fused_seconds": self.speedup.fused_seconds,
                     "batch_seconds": self.speedup.batch_seconds,
-                    "fast_speedup": self.speedup.fast_speedup,
                     "fused_speedup": self.speedup.fused_speedup,
-                    "batch_speedup": self.speedup.batch_speedup,
                     "batch_over_fused": self.speedup.batch_over_fused,
                 }
             ),

@@ -4,8 +4,8 @@
 :func:`repro.sim.validation.validate_zoo` engine-executes (rows=2,
 seed 0), the unfused run's ``RunReport`` counts, the fused run's
 makespan and the SHA-256 of the output bytes.  Any engine change that
-moves a count or an output bit fails against it, whatever the legacy
-interpreter says.
+moves a count or an output bit fails against it, whatever the engine's
+other paths say.
 
     python -m tests.engine_counts --check          # every row
     python -m tests.engine_counts --check LeNet-5  # selected rows
@@ -45,8 +45,8 @@ def collect(
     runs = []
     run = CompiledForward.run
 
-    def recording(compiled, image, fast=True, fused=True):
-        out, report = run(compiled, image, fast=fast, fused=fused)
+    def recording(compiled, image, *, fused=True):
+        out, report = run(compiled, image, fused=fused)
         runs.append((fused, out, report))
         return out, report
 

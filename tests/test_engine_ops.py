@@ -8,7 +8,7 @@ from repro.dnn.layers import Activation, PoolMode
 from repro.errors import SimulationError
 from repro.functional import tensor_ops as ops
 from repro.isa import Opcode, Program, assemble, make
-from repro.sim.engine import ACT_CODES, SAMP_CODES, Engine
+from repro.sim.engine import ACT_CODES, EXTERNAL_PORT, SAMP_CODES, Engine
 from repro.sim.machine import Machine, pack_shape
 
 
@@ -165,3 +165,103 @@ class TestEngineGuards:
         # A second injection hits the now-READABLE range and is refused.
         with pytest.raises(SimulationError):
             engine.inject(0, 0, np.array([3.0, 4.0], np.float32))
+
+
+#: Instructions whose operands cannot execute, per error class: the
+#: instruction, then the exception type and message it raises when a
+#: tile issues it.
+BAD_INSTRUCTIONS = {
+    "matmul-shape-mismatch": (
+        make(
+            Opcode.MATMUL, in1_addr=0, in1_port=0,
+            in1_size=pack_shape(1, 5), in2_addr=32, in2_port=0,
+            in2_size=pack_shape(3, 4), out_addr=0, out_port=1,
+            is_accum=0,
+        ),
+        SimulationError, "MATMUL shape mismatch: vector 5 vs matrix 3x4",
+    ),
+    "bad-activation-code": (
+        make(
+            Opcode.NDACTFN, fn_type=9, in_addr=0, port=0, size=4,
+            out_addr=16, out_port=0,
+        ),
+        KeyError, "9",
+    ),
+    "bad-sampling-code": (
+        make(
+            Opcode.NDSUBSAMP, samp_type=7, in_addr=0, port=0,
+            in_size=pack_shape(4, 4), window=2, stride=2, out_addr=32,
+            out_port=1,
+        ),
+        KeyError, "7",
+    ),
+    "zero-lr-denominator": (
+        make(
+            Opcode.WUPDATE, weight_addr=0, grad_addr=8, port=0, size=4,
+            lr_num=1, lr_denom=0,
+        ),
+        ZeroDivisionError, "division by zero",
+    ),
+    "out-of-mesh-port": (
+        make(
+            Opcode.DMALOAD, src_addr=0, src_port=0, dst_addr=0,
+            dst_port=99, size=2, is_accum=0,
+        ),
+        SimulationError, "no mem tile 99",
+    ),
+}
+
+
+class TestDecodeErrorContract:
+    """An instruction whose operands cannot execute raises its error
+    when the tile issues it — never when the program is decoded — so a
+    program that never reaches it runs to HALT."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INSTRUCTIONS))
+    def test_raises_when_issued(self, case):
+        instr, error, message = BAD_INSTRUCTIONS[case]
+        m = machine()
+        prog = Program(tile="t0")
+        # Executes before the bad instruction is issued.
+        prog.append(make(
+            Opcode.DMALOAD, src_addr=100, src_port=EXTERNAL_PORT,
+            dst_addr=200, dst_port=2, size=1, is_accum=0,
+        ))
+        prog.append(instr)
+        prog.append(make(Opcode.HALT))
+        m.load_program(prog)
+        engine = Engine(m)
+        engine.external[100] = 3.0
+        with pytest.raises(error) as info:
+            engine.run()
+        assert str(info.value) == message
+        assert m.mem_tile(2).read(200, 1)[0] == 3.0
+
+    def test_unknown_upsampling_mode_raises_when_issued(self):
+        m = machine()
+        m.load_program(one_instr(make(
+            Opcode.NDUPSAMP, samp_type=5, in_addr=0, port=0,
+            in_size=pack_shape(1, 1), window=2, stride=2, out_addr=8,
+            out_port=0,
+        )))
+        with pytest.raises(SimulationError, match="unknown NDUPSAMP mode 5"):
+            Engine(m).run()
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("case", sorted(BAD_INSTRUCTIONS))
+    def test_unreached_instruction_halts_normally(self, case, batch):
+        instr, _, _ = BAD_INSTRUCTIONS[case]
+        m = machine()
+        prog = Program(tile="t0")
+        prog.append(make(Opcode.LDRI, rd=1, value=0))
+        prog.append(make(Opcode.BNEZ, rs=1, offset=1))  # never taken
+        prog.append(make(Opcode.HALT))
+        prog.append(instr)
+        prog.append(make(Opcode.HALT))
+        m.load_program(prog)
+        engine = Engine(m)
+        if batch is not None:
+            engine.make_batch(batch)
+        report = engine.run()
+        assert report.instructions == 3
+        assert m.comp_tiles["t0"].halted

@@ -208,13 +208,13 @@ class TestValidationReport:
 
 class TestSpeedupResult:
     RESULT = SpeedupResult(
-        network="net", batch=16, legacy_seconds=8.0, fast_seconds=4.0,
-        batch_seconds=0.05, fused_seconds=0.4,
+        network="net", batch=16, fast_seconds=4.0, batch_seconds=0.05,
+        fused_seconds=0.4,
     )
 
     def test_batch_over_fused(self):
         assert self.RESULT.batch_over_fused == pytest.approx(8.0)
-        zero = SpeedupResult("net", 16, 1.0, 1.0, 0.0, 1.0)
+        zero = SpeedupResult("net", 16, 1.0, 0.0, 1.0)
         assert zero.batch_over_fused == float("inf")
 
     def test_describe_reports_batch_over_fused(self):
@@ -225,6 +225,11 @@ class TestSpeedupResult:
         block = json.loads(json.dumps(report.to_dict()))["speedup"]
         assert block["batch_over_fused"] == pytest.approx(8.0)
         assert block["batch_seconds"] == pytest.approx(0.05)
+        assert block["fused_speedup"] == pytest.approx(10.0)
+        assert sorted(block) == [
+            "batch", "batch_over_fused", "batch_seconds", "fast_seconds",
+            "fused_seconds", "fused_speedup", "network",
+        ]
 
 
 class TestValidateZoo:
