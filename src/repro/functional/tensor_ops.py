@@ -267,6 +267,21 @@ def conv_block_plan(steps, kernel: int) -> tuple:
     return tuple(plan)
 
 
+def conv_block_extent(plan, kernel: int, in_words: int) -> int:
+    """One past the highest staging word :func:`conv_block_forward`
+    reads for ``plan``: its source planes (``in_words`` each), its
+    kernels, and the full extent of each strided weight view — so the
+    caller may hand it just that prefix of the scratchpad and still get
+    the strided fast path."""
+    kk = kernel * kernel
+    end = 0
+    for _, planes, _, kernel_addrs, kstride in plan:
+        end = max(end, max(planes) + in_words, max(kernel_addrs) + kk)
+        if kstride is not None:
+            end = max(end, kernel_addrs[0] + len(kernel_addrs) * kstride)
+    return end
+
+
 def conv_block_forward(
     src_words: np.ndarray,
     plan,
@@ -284,7 +299,8 @@ def conv_block_forward(
     for a whole minibatch at once.
 
     ``src_words`` is the staging scratchpad, one ``(batch, words)`` row
-    per image (a single image is the batch-1 case); ``plan`` comes from
+    per image (a single image is the batch-1 case) — or just its prefix
+    up to :func:`conv_block_extent`; ``plan`` comes from
     :func:`conv_block_plan`, whose step 0 must cover all
     ``n_features`` features in order (the code generator emits each
     feature's first source with ``is_accum=0``); ``bias_block`` is

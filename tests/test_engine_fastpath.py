@@ -26,8 +26,8 @@ from repro.dnn.zoo import lenet5, tiny_cnn, tiny_mlp
 from repro.errors import SimulationError
 from repro.functional.reference import ReferenceModel
 from repro.isa import assemble
-from repro.sim.engine import ACT_CODES, Engine, RunReport
-from repro.sim.machine import Machine
+from repro.sim.engine import ACT_CODES, MIRROR_GRANULE, Engine, RunReport
+from repro.sim.machine import Machine, instruction_accesses
 
 NETS = {
     "TinyMLP": lambda: tiny_mlp(num_classes=4, in_features=8, hidden=12),
@@ -310,6 +310,89 @@ class TestBatchedExecution:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestBatchMirrors:
+    """``BatchState`` mirrors: seeded from the machine's words, private
+    per image, bounds-checked against the whole scratchpad."""
+
+    def _state(self):
+        machine = Machine(conv_chip(), 1, 1)
+        high = np.arange(8, dtype=np.float32) + 100.0
+        machine.mem_tile(0).write(100_000, high, False)
+        return machine, high, Engine(machine).make_batch(BATCH)
+
+    def test_growth_seeds_from_machine_and_keeps_rows(self):
+        machine, high, state = self._state()
+        low = np.arange(BATCH * 4, dtype=np.float32).reshape(BATCH, 4)
+        state.write(0, 16, low, False)
+        got = state.read(0, 100_000, 8)
+        assert got.shape == (BATCH, 8)
+        for row in got:
+            assert np.array_equal(row, high)
+        assert np.array_equal(state.read(0, 16, 4), low)
+        # The run writes only to the mirrors; the machine is untouched.
+        assert not machine.mem_tile(0).read(16, 4).any()
+
+    def test_out_of_bounds_text_names_full_tile(self):
+        _, _, state = self._state()
+        with pytest.raises(SimulationError) as err:
+            state.read(0, 131_070, 4)
+        assert str(err.value) == (
+            "port 0: batched read [131070, 131074) out of bounds "
+            "(131072 words)"
+        )
+        with pytest.raises(SimulationError) as err:
+            state.write(0, -1, np.zeros((BATCH, 2), np.float32), False)
+        assert str(err.value) == (
+            "port 0: batched write [-1, 1) out of bounds (131072 words)"
+        )
+        with pytest.raises(SimulationError) as err:
+            state.write(0, 131_071, np.zeros((BATCH, 2), np.float32), True)
+        assert str(err.value) == (
+            "port 0: batched write [131071, 131073) out of bounds "
+            "(131072 words)"
+        )
+        # The last word itself is in bounds.
+        assert state.read(0, 131_071, 1).shape == (BATCH, 1)
+
+    def test_run_batch_mirrors_only_touched_prefix(self, monkeypatch):
+        """Each mirror stops at its port's highest accessed word (per
+        the static accesses of the programs), rounded up to the growth
+        granule — never the whole tile — and the batched run still
+        equals the streamed runs bit for bit."""
+        net = lenet5()
+        compiled = compile_dag_forward(net, ReferenceModel(net, seed=0))
+        highest = {}
+        for program in compiled.programs:
+            for instr in program.instructions:
+                reads, writes = instruction_accesses(instr)
+                for port, addr, count in reads + writes:
+                    highest[port] = max(highest.get(port, 0), addr + count)
+        states = []
+        make_batch = Engine.make_batch
+
+        def spy(self, batch):
+            state = make_batch(self, batch)
+            states.append(state)
+            return state
+
+        monkeypatch.setattr(Engine, "make_batch", spy)
+        images = np.stack([_image(net, seed=i) for i in range(BATCH)])
+        outputs, report = compiled.run_batch(images)
+        (state,) = states
+        tile_words = conv_chip().mem_tile.capacity_bytes // 4
+        assert state._mem
+        for port, mirror in state._mem.items():
+            bound = -(-highest[port] // MIRROR_GRANULE) * MIRROR_GRANULE
+            assert mirror.shape[0] == BATCH
+            assert mirror.shape[1] <= bound, (port, mirror.shape, bound)
+            assert mirror.shape[1] < tile_words, port
+        runner = compiled.runner()
+        for i, image in enumerate(images):
+            out, expected = runner(image)
+            assert np.array_equal(outputs[i], out), i
+            assert report == expected, i
 
 
 #: Superop kinds the fused batched path must exercise at batch > 1.
